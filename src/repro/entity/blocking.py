@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import EntityResolutionError
@@ -444,17 +445,20 @@ class BlockIndex:
             for record in records
         ]
 
-    def _block_pairs(self, key: str) -> Set[Pair]:
-        """The pairs a key currently contributes (empty outside [2, max])."""
-        members = self._members.get(key, ())
-        if len(members) < 2 or len(members) > self._blocker.max_block_size:
-            return set()
-        ordered = sorted(members)
-        return {
-            _ordered(ordered[i], ordered[j])
-            for i in range(len(ordered))
-            for j in range(i + 1, len(ordered))
-        }
+    def _valid(self, size: int) -> bool:
+        """Whether a block of ``size`` members contributes its pairs."""
+        return 2 <= size <= self._blocker.max_block_size
+
+    def partners(self, record_id: str) -> Set[str]:
+        """The records ``record_id`` currently forms a candidate pair with
+        (those sharing a valid block with it); empty for unknown ids."""
+        partners: Set[str] = set()
+        for key in self._keys_of.get(record_id, ()):
+            members = self._members[key]
+            if self._valid(len(members)):
+                partners |= members
+        partners.discard(record_id)
+        return partners
 
     def apply(
         self, upserts: Sequence[Record], deletes: Sequence[str]
@@ -465,60 +469,74 @@ class BlockIndex:
         retired first); ``deletes`` may name unknown ids (ignored).  The
         candidate-pair set after the call is exactly what a from-scratch
         ``blocker.block()`` over the new population would produce.
+
+        A key whose block stays inside ``[2, max_block_size]`` changes only
+        the pairs of the members that left or joined it — O(block × delta).
+        Only a key crossing that validity boundary gains or loses its whole
+        within-block pair set.
         """
-        affected: Set[str] = set()
-        removals: List[str] = []
-        for record_id in deletes:
-            if record_id in self._keys_of:
-                removals.append(record_id)
-        for record in upserts:
-            if record.record_id in self._keys_of:
-                removals.append(record.record_id)
-        removals = list(dict.fromkeys(removals))
-        for record_id in removals:
-            affected.update(self._keys_of[record_id])
         new_keys = self._extract_keys(list(upserts))
-        for keys in new_keys:
-            affected.update(keys)
-
-        # snapshot the contributions of every affected key, then rewrite
-        # memberships and diff the contributions through the support counts
-        before: Dict[str, Set[Pair]] = {
-            key: self._block_pairs(key) for key in affected
-        }
-        for record_id in removals:
-            for key in self._keys_of.pop(record_id):
-                members = self._members.get(key)
-                if members is not None:
-                    members.discard(record_id)
-                    if not members:
-                        del self._members[key]
+        # per key: the ids leaving it and joining it (an upserted record
+        # that keeps a key does neither)
+        leaving: Dict[str, Set[str]] = defaultdict(set)
+        joining: Dict[str, Set[str]] = defaultdict(set)
+        for record_id in deletes:
+            for key in self._keys_of.pop(record_id, ()):
+                leaving[key].add(record_id)
         for record, keys in zip(upserts, new_keys):
-            self._keys_of[record.record_id] = keys
+            record_id = record.record_id
+            for key in self._keys_of.get(record_id, ()):
+                leaving[key].add(record_id)
+            self._keys_of[record_id] = keys
             for key in keys:
-                self._members.setdefault(key, set()).add(record.record_id)
+                if record_id in leaving[key]:
+                    leaving[key].discard(record_id)
+                else:
+                    joining[key].add(record_id)
 
-        touched: Dict[Pair, int] = {}
-        for key in affected:
-            after = self._block_pairs(key)
-            old = before[key]
-            for pair in old - after:
-                touched.setdefault(pair, self._support.get(pair, 0))
-                self._support[pair] = self._support.get(pair, 0) - 1
-            for pair in after - old:
-                touched.setdefault(pair, self._support.get(pair, 0))
-                self._support[pair] = self._support.get(pair, 0) + 1
+        support = self._support
+        #: net support change per pair over the whole delta
+        change: Dict[Pair, int] = defaultdict(int)
+        for key in leaving.keys() | joining.keys():
+            gone, come = leaving[key], joining[key]
+            if not gone and not come:
+                continue
+            members = self._members.setdefault(key, set())
+            was_valid = self._valid(len(members))
+            stayers = members - gone
+            now_valid = self._valid(len(stayers) + len(come))
+            if was_valid and now_valid:
+                for changed, step in ((gone, -1), (come, 1)):
+                    for a in changed:
+                        for b in stayers:
+                            change[(a, b) if a <= b else (b, a)] += step
+                    for pair in combinations(sorted(changed), 2):
+                        change[pair] += step
+            elif was_valid:
+                for pair in combinations(sorted(members), 2):
+                    change[pair] -= 1
+            elif now_valid:
+                for pair in combinations(sorted(stayers | come), 2):
+                    change[pair] += 1
+            members -= gone
+            members |= come
+            if not members:
+                del self._members[key]
 
         added: Set[Pair] = set()
         removed: Set[Pair] = set()
-        for pair, initial in touched.items():
-            final = self._support.get(pair, 0)
-            if final <= 0:
-                self._support.pop(pair, None)
-                if initial > 0:
-                    removed.add(pair)
-            elif initial <= 0:
-                added.add(pair)
+        for pair, step in change.items():
+            if not step:
+                continue
+            before = support.get(pair, 0)
+            after = before + step
+            if after > 0:
+                support[pair] = after
+                if not before:
+                    added.add(pair)
+            else:
+                del support[pair]
+                removed.add(pair)
         return added, removed
 
 

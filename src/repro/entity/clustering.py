@@ -87,10 +87,16 @@ class IncrementalClusters:
     components eagerly (smaller into larger); edge and node removals mark
     the affected component *dirty*, and dirty components are lazily split
     back into true connected components (a BFS bounded by the component
-    size) the next time :meth:`components` is read.  The resulting
+    size) the next time the partition is read.  The resulting
     partition is always exactly the connected components of the current
     edge set — the same partition a from-scratch :class:`UnionFind` pass
     over the same edges produces.
+
+    Components carry integer ids that are stable for as long as the
+    component's member set and internal edge set are unchanged, and
+    :meth:`touched` reports the ids that were created, changed or retired
+    since the reader last acknowledged them — so a reader caching per-component
+    results does work proportional to what moved, not to the partition.
     """
 
     def __init__(self, nodes: Optional[Iterable[Hashable]] = None):
@@ -98,6 +104,8 @@ class IncrementalClusters:
         self._component_of: Dict[Hashable, int] = {}
         self._members: Dict[int, Set[Hashable]] = {}
         self._dirty: Set[int] = set()
+        #: ids created, changed or retired since the last clear_touched()
+        self._touched: Set[int] = set()
         self._next_component = 0
         if nodes is not None:
             for node in nodes:
@@ -114,15 +122,21 @@ class IncrementalClusters:
         """Number of live edges."""
         return sum(len(n) for n in self._adjacency.values()) // 2
 
+    def _new_component(self, members: Set[Hashable]) -> int:
+        component = self._next_component
+        self._next_component += 1
+        self._members[component] = members
+        for node in members:
+            self._component_of[node] = component
+        self._touched.add(component)
+        return component
+
     def add_node(self, node: Hashable) -> None:
         """Register a node as its own singleton component (idempotent)."""
         if node in self._adjacency:
             return
         self._adjacency[node] = set()
-        component = self._next_component
-        self._next_component += 1
-        self._component_of[node] = component
-        self._members[component] = {node}
+        self._new_component({node})
 
     def remove_node(self, node: Hashable) -> None:
         """Drop a node and all its edges; the remainder may split."""
@@ -132,6 +146,7 @@ class IncrementalClusters:
         for neighbor in neighbors:
             self._adjacency[neighbor].discard(node)
         component = self._component_of.pop(node)
+        self._touched.add(component)
         members = self._members[component]
         members.discard(node)
         if members:
@@ -153,8 +168,10 @@ class IncrementalClusters:
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
         comp_a, comp_b = self._component_of[a], self._component_of[b]
+        self._touched.add(comp_a)
         if comp_a == comp_b:
             return
+        self._touched.add(comp_b)
         if len(self._members[comp_a]) < len(self._members[comp_b]):
             comp_a, comp_b = comp_b, comp_a
         absorbed = self._members.pop(comp_b)
@@ -172,14 +189,36 @@ class IncrementalClusters:
             return
         self._adjacency[a].discard(b)
         self._adjacency[b].discard(a)
-        self._dirty.add(self._component_of[a])
+        component = self._component_of[a]
+        self._dirty.add(component)
+        self._touched.add(component)
+
+    def touch(self, node: Hashable) -> None:
+        """Report ``node``'s component as touched at the next read.
+
+        For readers whose per-component results also depend on node
+        *content* (record versions, edge scores) the graph cannot see.
+        Unknown nodes are ignored.
+        """
+        component = self._component_of.get(node)
+        if component is not None:
+            self._touched.add(component)
+
+    def neighbors(self, node: Hashable) -> Set[Hashable]:
+        """The nodes sharing an edge with ``node`` (a live view: read only)."""
+        return self._adjacency[node]
 
     def _settle(self) -> None:
-        """Split every dirty component back into true connected components."""
-        for component in list(self._dirty):
-            members = self._members.pop(component, None)
+        """Split every dirty component back into true connected components.
+
+        A component that turns out to be still connected keeps its id;
+        one that really split is retired and its parts get fresh ids.
+        """
+        for component in self._dirty:
+            members = self._members.get(component)
             if members is None:
                 continue
+            parts: List[Set[Hashable]] = []
             unvisited = set(members)
             while unvisited:
                 start = unvisited.pop()
@@ -192,12 +231,35 @@ class IncrementalClusters:
                             reached.add(neighbor)
                             frontier.append(neighbor)
                 unvisited -= reached
-                fresh = self._next_component
-                self._next_component += 1
-                self._members[fresh] = reached
-                for node in reached:
-                    self._component_of[node] = fresh
+                parts.append(reached)
+            if len(parts) > 1:
+                del self._members[component]
+                for part in parts:
+                    self._new_component(part)
         self._dirty.clear()
+
+    def touched(self) -> Tuple[Set[int], Dict[int, Set[Hashable]]]:
+        """What changed since :meth:`clear_touched` was last called.
+
+        Returns ``(retired, live)``: the ids of components that no longer
+        exist, and ``{id: members}`` (fresh sets) for every component that
+        was created, gained or lost a node or an edge, or was
+        :meth:`touch`-ed.  Components in neither collection are exactly as
+        they were at the last :meth:`clear_touched`; before the first one,
+        every component is reported.  Reading does not reset anything, so a
+        reader that fails half-way can simply read again.
+        """
+        self._settle()
+        live = {
+            component: set(self._members[component])
+            for component in self._touched
+            if component in self._members
+        }
+        return self._touched - live.keys(), live
+
+    def clear_touched(self) -> None:
+        """Acknowledge everything :meth:`touched` currently reports."""
+        self._touched = set()
 
     def components(self) -> List[Set[Hashable]]:
         """Return the current connected components (each a fresh set)."""

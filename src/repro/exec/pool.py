@@ -844,8 +844,13 @@ class PersistentWorkerPool:
                     # task is re-dispatched on a fresh pipe
                     in_flight.pop(slot, None)
                     undispatched.append(index)
+                    process = self._workers[slot].process
                     try:
-                        self._workers[slot].process.kill()
+                        process.kill()
+                        # SIGKILL lands asynchronously; wait for it, or a
+                        # worker that still looks alive when the reaper next
+                        # runs sits out the rest of the batch un-respawned
+                        process.join(timeout=1.0)
                     except Exception:
                         pass
 

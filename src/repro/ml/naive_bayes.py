@@ -60,23 +60,34 @@ class BernoulliNaiveBayes:
         return self
 
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
+        """Per-class joint log-likelihood, one row per sample.
+
+        Accumulated one feature column at a time in a fixed order (as
+        :func:`repro.ml.linear.linear_scores` does): a matrix product is
+        free to reduce in a shape-dependent order, which would let a row's
+        probability depend on how many rows share its batch.  The streaming
+        curator classifies only the rows a delta produced and must get the
+        floats a full-matrix call gives them.
+        """
         if self._log_prior is None:
             raise NotFittedError("BernoulliNaiveBayes")
-        Xb = self._binarize(np.asarray(X, dtype=float))
-        if Xb.ndim == 1:
-            Xb = Xb.reshape(1, -1)
-        if Xb.shape[1] != self._feature_log_prob.shape[1]:
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if X.shape[1] != self._feature_log_prob.shape[1]:
             raise ModelError(
                 f"feature dimension mismatch: model has "
-                f"{self._feature_log_prob.shape[1]}, input has {Xb.shape[1]}"
+                f"{self._feature_log_prob.shape[1]}, input has {X.shape[1]}"
             )
-        jll = np.zeros((Xb.shape[0], 2))
+        on = X > self.binarize_threshold
+        jll = np.empty((X.shape[0], 2))
         for label in (0, 1):
-            jll[:, label] = (
-                self._log_prior[label]
-                + Xb @ self._feature_log_prob[label]
-                + (1.0 - Xb) @ self._feature_log_prob_neg[label]
-            )
+            log_on = self._feature_log_prob[label]
+            log_off = self._feature_log_prob_neg[label]
+            acc = np.full(X.shape[0], self._log_prior[label])
+            for j in range(X.shape[1]):
+                acc = acc + np.where(on[:, j], log_on[j], log_off[j])
+            jll[:, label] = acc
         return jll
 
     def predict_proba(self, X: Sequence) -> np.ndarray:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Set
 
 from ..text.normalize import TextNormalizer
@@ -36,6 +37,9 @@ from .attribute import AttributeProfile
 
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
 _name_normalizer = TextNormalizer(abbreviations={})
+#: Bound of the two attribute-name memos (normalized names, and similarity
+#: per normalized pair).  Names are few and short: a schema holds dozens.
+_NAME_CACHE_SIZE = 1 << 14
 
 
 def normalize_attribute_name(name: str) -> str:
@@ -47,7 +51,12 @@ def normalize_attribute_name(name: str) -> str:
     """
     if name is None:
         return ""
-    spaced = _CAMEL_RE.sub(" ", str(name))
+    return _normalized_name(str(name))
+
+
+@lru_cache(maxsize=_NAME_CACHE_SIZE)
+def _normalized_name(name: str) -> str:
+    spaced = _CAMEL_RE.sub(" ", name)
     spaced = spaced.replace("_", " ").replace("-", " ").replace(".", " ")
     return _name_normalizer.normalize(spaced)
 
@@ -162,9 +171,19 @@ def jaccard_similarity(a: Set, b: Set) -> float:
 
 
 def name_similarity(name_a: str, name_b: str) -> float:
-    """Best-of string similarity between two attribute names."""
-    a = normalize_attribute_name(name_a)
-    b = normalize_attribute_name(name_b)
+    """Best-of string similarity between two attribute names.
+
+    A schema holds a few dozen distinct attribute names that are compared
+    again for every arriving source, so the score of each normalized pair
+    is remembered (bounded LRU).
+    """
+    return _normalized_name_similarity(
+        normalize_attribute_name(name_a), normalize_attribute_name(name_b)
+    )
+
+
+@lru_cache(maxsize=_NAME_CACHE_SIZE)
+def _normalized_name_similarity(a: str, b: str) -> float:
     if not a and not b:
         return 1.0
     if not a or not b:

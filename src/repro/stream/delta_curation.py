@@ -8,19 +8,21 @@ rather than the corpus:
   pair set is maintained through :class:`~repro.entity.blocking.BlockIndex`
   support counts (block-based strategies) or a cheap full re-block
   ("sorted"/"none", where pair enumeration is not the bottleneck);
-* pairwise similarity features are computed only for new or invalidated
-  pairs (through the :class:`~repro.exec.batch.BatchScorer` fan-out path,
-  backed by a persistent :class:`~repro.entity.kernel.ScoringKernel` that
-  interns each record's tokens and normalized values once per version) and
-  cached per pair; pairs the
+* pairwise similarity features are computed, and classified, only for new
+  or invalidated pairs (through the :class:`~repro.exec.batch.BatchScorer`
+  fan-out path, backed by a persistent
+  :class:`~repro.entity.kernel.ScoringKernel` that interns each record's
+  tokens and normalized values once per version); the resulting
+  probability is kept per pair.  Pairs the
   :class:`~repro.entity.kernel.CandidateFilter` proves unmatchable are
   never featurized at all (and are re-examined when either record
   changes);
 * match decisions feed an
   :class:`~repro.entity.clustering.IncrementalClusters` union/split
-  structure, so clusters are updated in place;
-* cluster merges are memoized by member set and record versions, so only
-  clusters that actually changed are re-merged.
+  structure, which reports the components a delta touched; only those are
+  re-split under ``max_cluster_size``;
+* a cluster is re-merged only when its member set is new or one of its
+  records changed, and the ordered entity list is edited in place.
 
 Equivalence guarantee
 ---------------------
@@ -34,24 +36,39 @@ over the same records.  The load-bearing details:
   and the curator's record mirror preserves the collection's insertion
   order (so even the sorted-neighborhood window, whose tie-breaks are
   order-sensitive, sees the same sequence);
-* cached feature rows are exactly the rows ``BatchScorer`` produces, and
-  the classifier always sees the full feature matrix of the *sorted*
-  candidate list in one call — the same matrix the batch path builds;
-* matched pairs are kept in sorted-pair order, which is the order the
-  batch path's score dictionary yields, so the stable sort inside the
-  oversized-cluster split breaks score ties identically;
+* feature rows are exactly the rows ``BatchScorer`` produces, and every
+  classifier scores a row through the same fixed-order float operations
+  whatever other rows share its batch (:func:`repro.ml.linear.linear_proba`,
+  :class:`repro.ml.naive_bayes.BernoulliNaiveBayes`) — so a pair classified
+  alone in a delta gets the very probability the batch path's full-matrix
+  call gives it, and a score is computed once and kept until either record
+  changes;
+* an oversized component is split from its internal matched pairs in
+  sorted-pair order — the order the batch path's score dictionary yields —
+  so the stable sort inside the split breaks score ties identically;
 * final clusters are ordered by their smallest member id and merged with
   the shared :func:`~repro.entity.consolidation.merge_clusters`, so entity
   ids and merged attributes match positionally.
+
+Cost of one refresh
+-------------------
+
+Every Python-level loop in :meth:`DeltaCurator.apply_events` and the
+refresh behind :meth:`DeltaCurator.entities` runs over the delta: the pairs
+that became pending, the components :class:`IncrementalClusters` reports as
+touched, the clusters of those components, and the entities whose position
+shifted.  What still scales with the collection is C-level only — list
+insert/delete memmoves, the per-refresh ``tuple(...)`` and the
+``list(...)`` copy handed to each caller.  (``sorted``/``none`` blocking
+re-derive their candidate set per refresh — it depends on global order —
+diff it against the previous one, and feed the same delta path.)
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
 
 from ..config import EntityConfig
 from ..entity.blocking import BlockIndex, TokenBlocker, full_pairs, make_blocker
@@ -72,6 +89,8 @@ from .operators import DeltaOperator
 from .scheduler import DeltaBatch
 
 Pair = Tuple[str, str]
+#: a final cluster's identity: its member ids, sorted
+ClusterKey = Tuple[str, ...]
 
 
 def record_from_document(document: dict, source_id: str = "curated") -> Record:
@@ -91,7 +110,15 @@ def record_from_document(document: dict, source_id: str = "curated") -> Record:
 
 @dataclass(frozen=True)
 class RefreshStats:
-    """Bookkeeping from one incremental refresh."""
+    """Bookkeeping from one incremental refresh.
+
+    The first five fields describe the curated state; the rest count the
+    work this refresh did — all of it follows the delta, none of it the
+    collection (``entities_restamped`` also counts entities a cluster
+    insertion or removal shifted to a new ``entity:{index}``).  Every
+    featurized pair is classified exactly once, so ``pairs_classified``
+    equals ``pairs_featurized``; the second name is kept for its readers.
+    """
 
     records: int
     candidate_pairs: int
@@ -101,19 +128,13 @@ class RefreshStats:
     merges_reused: int
     merges_computed: int
     pairs_pruned: int = 0
+    pairs_classified: int = 0
+    components_recomputed: int = 0
+    entities_restamped: int = 0
 
     def as_dict(self) -> dict:
         """Return the stats as a dictionary (for benchmarks and reports)."""
-        return {
-            "records": self.records,
-            "candidate_pairs": self.candidate_pairs,
-            "pairs_featurized": self.pairs_featurized,
-            "matched_pairs": self.matched_pairs,
-            "clusters": self.clusters,
-            "merges_reused": self.merges_reused,
-            "merges_computed": self.merges_computed,
-            "pairs_pruned": self.pairs_pruned,
-        }
+        return asdict(self)
 
 
 class DeltaCurator(DeltaOperator):
@@ -162,8 +183,6 @@ class DeltaCurator(DeltaOperator):
     def _reset_state(self) -> None:
         #: insertion-ordered mirror of the collection's documents
         self._records: Dict[str, Record] = {}
-        self._versions: Dict[str, int] = {}
-        self._version_clock = 0
         # the interned token/attribute corpus is incremental state too:
         # rebuild it with the rest so stale record data never survives
         self._kernel = ScoringKernel(
@@ -187,17 +206,23 @@ class DeltaCurator(DeltaOperator):
             else None
         )
         self._pairs_stale = False
+        # a candidate is pending (new, or one of its records changed),
+        # scored, or — being neither — pruned by the provable filter; a
+        # stale score stays in place while its pair is pending
         self._candidates: Set[Pair] = set()
-        self._pruned: Set[Pair] = set()
-        self._features: Dict[Pair, np.ndarray] = {}
-        self._pairs_by_record: Dict[str, Set[Pair]] = defaultdict(set)
+        self._pending: Set[Pair] = set()
         self._scores: Dict[Pair, float] = {}
         self._matched_set: Set[Pair] = set()
         self._clusters = IncrementalClusters()
-        self._merge_cache: Dict[
-            Tuple[str, ...], Tuple[Tuple[int, ...], ConsolidatedEntity]
-        ] = {}
+        #: record ids upserted since the last refresh (their merges are stale)
+        self._changed: Set[str] = set()
+        #: component id -> its final (post-split) clusters
+        self._component_clusters: Dict[int, List[ClusterKey]] = {}
+        #: all final clusters, ordered by smallest member; parallel to
+        #: ``_entities`` (keys of disjoint clusters differ in their first id)
+        self._cluster_keys: List[ClusterKey] = []
         self._entities: List[ConsolidatedEntity] = []
+        self._entity_tuple: Tuple[ConsolidatedEntity, ...] = ()
         self._dirty = True
         self._last_stats: Optional[RefreshStats] = None
 
@@ -227,7 +252,7 @@ class DeltaCurator(DeltaOperator):
     @property
     def pruned_count(self) -> int:
         """Candidate pairs currently excluded by the provable filter."""
-        return len(self._pruned)
+        return len(self._candidates) - len(self._scores.keys() | self._pending)
 
     @property
     def kernel(self) -> ScoringKernel:
@@ -238,19 +263,16 @@ class DeltaCurator(DeltaOperator):
 
     def _add_candidate(self, pair: Pair) -> None:
         self._candidates.add(pair)
-        self._pairs_by_record[pair[0]].add(pair)
-        self._pairs_by_record[pair[1]].add(pair)
+        self._pending.add(pair)
 
     def _drop_candidate(self, pair: Pair) -> None:
         self._candidates.discard(pair)
-        self._features.pop(pair, None)
-        self._pruned.discard(pair)
-        for record_id in pair:
-            pairs = self._pairs_by_record.get(record_id)
-            if pairs is not None:
-                pairs.discard(pair)
-                if not pairs:
-                    del self._pairs_by_record[record_id]
+        self._pending.discard(pair)
+        self._unscore(pair)
+
+    def _unscore(self, pair: Pair) -> None:
+        """Forget a pair's probability and, if it matched, its edge."""
+        self._scores.pop(pair, None)
         if pair in self._matched_set:
             self._matched_set.discard(pair)
             self._clusters.remove_edge(*pair)
@@ -272,15 +294,12 @@ class DeltaCurator(DeltaOperator):
         """
         upserts: List[Record] = []
         deleted_ids: List[str] = []
-        changed_ids: Set[str] = set()
         for event in events:
             record_id = str(event.doc_id)
             if event.op == "delete":
                 if record_id in self._records:
                     del self._records[record_id]
-                    self._versions.pop(record_id, None)
                     deleted_ids.append(record_id)
-                    changed_ids.add(record_id)
                 continue
             record = record_from_document(event.document, self._source_id)
             if event.op == "insert" and record_id in self._records:
@@ -288,37 +307,38 @@ class DeltaCurator(DeltaOperator):
                 del self._records[record_id]
             self._records[record_id] = record
             upserts.append(record)
-            changed_ids.add(record_id)
-        if not changed_ids:
+        if not upserts and not deleted_ids:
             return
 
-        self._version_clock += 1
-        for record in upserts:
-            self._versions[record.record_id] = self._version_clock
-
+        # every pair of a changed record — surviving or new — goes (back)
+        # through the candidate filter, whose decision depends on the
+        # records' current content, and the classifier
         if self._block_index is not None:
             added, removed = self._block_index.apply(upserts, deleted_ids)
             for pair in removed:
                 self._drop_candidate(pair)
             for pair in added:
                 self._add_candidate(pair)
+            for record in upserts:
+                a = record.record_id
+                self._pending.update(
+                    (a, b) if a <= b else (b, a)
+                    for b in self._block_index.partners(a)
+                )
         else:
             self._pairs_stale = True
-
-        # surviving pairs that touch a changed record must be re-featurized
-        # — and re-run through the candidate filter, whose decision depends
-        # on the records' current content
-        for record_id in changed_ids:
-            for pair in self._pairs_by_record.get(record_id, ()):
-                self._features.pop(pair, None)
-                self._pruned.discard(pair)
 
         for record_id in deleted_ids:
             # through the scorer so a warm worker pool forgets the record too
             self._scorer.discard_record(record_id)
             self._clusters.remove_node(record_id)
+            self._changed.discard(record_id)
         for record in upserts:
+            # its cluster must be re-merged, and re-split if oversized (the
+            # split reads the scores about to change)
+            self._changed.add(record.record_id)
             self._clusters.add_node(record.record_id)
+            self._clusters.touch(record.record_id)
         self._dirty = True
 
     def bootstrap(self, documents: Iterable[dict]) -> None:
@@ -344,9 +364,14 @@ class DeltaCurator(DeltaOperator):
 
     def entities(self) -> List[ConsolidatedEntity]:
         """The current consolidated entities (refreshing if stale)."""
+        return list(self.entity_tuple())
+
+    def entity_tuple(self) -> Tuple[ConsolidatedEntity, ...]:
+        """The current entities as the immutable tuple built once per
+        refresh — what a snapshot publish shares instead of copying."""
         if self._dirty:
             self._refresh()
-        return list(self._entities)
+        return self._entity_tuple
 
     def _refresh(self) -> None:
         if self._pairs_stale:
@@ -355,126 +380,157 @@ class DeltaCurator(DeltaOperator):
                 self._drop_candidate(pair)
             for pair in fresh - self._candidates:
                 self._add_candidate(pair)
+            changed = self._changed
+            self._pending.update(
+                pair
+                for pair in self._candidates
+                if pair[0] in changed or pair[1] in changed
+            )
             self._pairs_stale = False
-
-        pending = sorted(
-            pair
-            for pair in self._candidates
-            if pair not in self._features and pair not in self._pruned
-        )
-        if pending and self._filter is not None:
-            # the filter's per-pair decision depends only on the two
-            # records' current content, so deciding pairs incrementally
-            # (here) and all at once (the batch path) yields the same
-            # survivor set — pruned pairs are re-examined whenever either
-            # record changes (see apply_events)
-            missing, pruned_now, _ = self._filter.split(
-                self._kernel, self._records, pending
-            )
-            self._pruned |= pruned_now
-        else:
-            missing = pending
-        if missing:
-            matrix = self._scorer.featurize_pairs(self._records, missing)
-            for pair, row in zip(missing, matrix):
-                self._features[pair] = row
-
-        # The classifier deliberately sees the FULL sorted-candidate matrix
-        # each refresh rather than only the delta rows: predict is O(pairs ×
-        # features) of cheap numpy work (featurization above is the hot
-        # path), and a single full-matrix call is the same guarantee
-        # BatchScorer gives that probabilities cannot drift from the batch
-        # path through shape-dependent BLAS summation.  Provably-pruned
-        # pairs are excluded exactly as the batch path excludes them before
-        # scoring.
-        candidates = sorted(self._candidates - self._pruned)
-        threshold = self._model.threshold
-        scores: Dict[Pair, float] = {}
-        matched: List[Pair] = []
-        if candidates:
-            full_matrix = np.vstack([self._features[p] for p in candidates])
-            probabilities = self._model.predict_proba_features(full_matrix)
-            for pair, probability in zip(candidates, probabilities):
-                probability = float(probability)
-                scores[pair] = probability
-                if probability >= threshold:
-                    matched.append(pair)
-        self._scores = scores
-
-        matched_set = set(matched)
-        for pair in self._matched_set - matched_set:
-            self._clusters.remove_edge(*pair)
-        for pair in matched_set - self._matched_set:
-            self._clusters.add_edge(*pair)
-        self._matched_set = matched_set
-
-        final: List[Set[str]] = []
-        for component in self._clusters.components():
-            if (
-                self._max_cluster_size is None
-                or len(component) <= self._max_cluster_size
-            ):
-                final.append(component)
-                continue
-            internal = sorted(
-                {
-                    pair
-                    for record_id in component
-                    for pair in self._pairs_by_record.get(record_id, ())
-                    if pair in matched_set
-                }
-            )
-            final.extend(
-                cluster_pairs(
-                    sorted(component),
-                    internal,
-                    scores=self._scores,
-                    max_cluster_size=self._max_cluster_size,
-                )
-            )
-
-        ordered = sorted(final, key=min)
-        entities: List[Optional[ConsolidatedEntity]] = [None] * len(ordered)
-        new_cache: Dict[
-            Tuple[str, ...], Tuple[Tuple[int, ...], ConsolidatedEntity]
-        ] = {}
-        to_merge: List[Tuple[int, Set[str]]] = []
-        reused = 0
-        for index, cluster in enumerate(ordered):
-            key = tuple(sorted(cluster))
-            cached = self._merge_cache.get(key)
-            if cached is not None:
-                versions, entity = cached
-                if versions == tuple(self._versions[m] for m in key):
-                    entities[index] = _copy_entity(entity, index)
-                    new_cache[key] = cached
-                    reused += 1
-                    continue
-            to_merge.append((index, cluster))
-        if to_merge:
-            merged = merge_clusters(
-                to_merge, self._records, self._merge_policy, executor=self._executor
-            )
-            for (index, cluster), entity in zip(to_merge, merged):
-                key = tuple(sorted(cluster))
-                new_cache[key] = (
-                    tuple(self._versions[m] for m in key),
-                    entity,
-                )
-                entities[index] = _copy_entity(entity, index)
-        self._merge_cache = new_cache
-        self._entities = [entity for entity in entities if entity is not None]
+        classified = self._score_pending()
+        recomputed, merged, restamped = self._assemble_entities()
+        self._entity_tuple = tuple(self._entities)
         self._dirty = False
         self._last_stats = RefreshStats(
             records=len(self._records),
             candidate_pairs=len(self._candidates),
-            pairs_featurized=len(missing),
-            matched_pairs=len(matched),
-            clusters=len(ordered),
-            merges_reused=reused,
-            merges_computed=len(to_merge),
-            pairs_pruned=len(self._pruned),
+            pairs_featurized=classified,
+            matched_pairs=len(self._matched_set),
+            clusters=len(self._cluster_keys),
+            merges_reused=len(self._cluster_keys) - merged,
+            merges_computed=merged,
+            pairs_pruned=len(self._candidates) - len(self._scores),
+            pairs_classified=classified,
+            components_recomputed=recomputed,
+            entities_restamped=restamped,
         )
+
+    def _score_pending(self) -> int:
+        """Filter, featurize and classify the pending pairs; returns how
+        many reached the classifier.
+
+        The filter's per-pair decision depends only on the two records'
+        current content, and the classifier scores each row independently
+        of its batch, so deciding pairs a delta at a time (here) and all at
+        once (the batch path) yields the same pruned set and the same
+        probabilities.  Nothing is committed until the fan-out calls have
+        returned, so a failed refresh can be retried.
+        """
+        survivors = sorted(self._pending)
+        if not survivors:
+            return 0
+        pruned_now: Set[Pair] = set()
+        if self._filter is not None:
+            survivors, pruned_now, _ = self._filter.split(
+                self._kernel, self._records, survivors
+            )
+        probabilities: List[float] = []
+        if survivors:
+            matrix = self._scorer.featurize_pairs(self._records, survivors)
+            probabilities = self._model.predict_proba_features(matrix).tolist()
+
+        self._pending.clear()
+        # a pruned pair is one without a score: drop any stale one
+        for pair in pruned_now & self._scores.keys():
+            self._unscore(pair)
+        threshold = self._model.threshold
+        for pair, probability in zip(survivors, probabilities):
+            self._scores[pair] = probability
+            if probability >= threshold:
+                if pair not in self._matched_set:
+                    self._matched_set.add(pair)
+                    self._clusters.add_edge(*pair)
+            elif pair in self._matched_set:
+                self._matched_set.discard(pair)
+                self._clusters.remove_edge(*pair)
+        return len(survivors)
+
+    def _final_clusters(self, component: Set[str]) -> List[ClusterKey]:
+        """One connected component's clusters after the size guard."""
+        if self._max_cluster_size is None or len(component) <= self._max_cluster_size:
+            return [tuple(sorted(component))]
+        neighbors = self._clusters.neighbors
+        internal = sorted((a, b) for a in component for b in neighbors(a) if a < b)
+        return [
+            tuple(sorted(cluster))
+            for cluster in cluster_pairs(
+                sorted(component),
+                internal,
+                scores=self._scores,
+                max_cluster_size=self._max_cluster_size,
+            )
+        ]
+
+    def _assemble_entities(self) -> Tuple[int, int, int]:
+        """Bring the ordered entity list up to date with the clustering.
+
+        Only components the clustering reports as touched are re-split;
+        of their clusters, only those whose member set is new or holds a
+        changed record are re-merged; and an entity is re-created only
+        when merged or when its ``entity:{index}`` position moved.  Returns
+        ``(components recomputed, clusters merged, entities stamped)``.
+        """
+        retired, live = self._clusters.touched()
+        stale: Set[ClusterKey] = set()
+        for component in retired:
+            stale.update(self._component_clusters.get(component, ()))
+        recomputed: Dict[int, List[ClusterKey]] = {}
+        fresh: Set[ClusterKey] = set()
+        for component, members in live.items():
+            stale.update(self._component_clusters.get(component, ()))
+            recomputed[component] = self._final_clusters(members)
+            fresh.update(recomputed[component])
+        # a cluster that keeps its members keeps its entity unless one of
+        # them changed content (it cannot have moved either: its smallest
+        # member is the same)
+        kept = {key for key in stale & fresh if self._changed.isdisjoint(key)}
+        stale -= kept
+        born = sorted(fresh - kept)
+
+        keys, entities = self._cluster_keys, self._entities
+        # removal positions index the current list, insertion positions the
+        # final one (ascending inserts never move an earlier one)
+        removals = sorted(bisect_left(keys, key) for key in stale)
+        inserts = []
+        for offset, key in enumerate(born):
+            position = bisect_left(keys, key)
+            inserts.append(position - bisect_left(removals, position) + offset)
+        merged = (
+            merge_clusters(
+                [(position, set(key)) for position, key in zip(inserts, born)],
+                self._records,
+                self._merge_policy,
+                executor=self._executor,
+            )
+            if born
+            else []
+        )
+
+        # everything that can fail has run: commit
+        self._clusters.clear_touched()
+        self._changed.clear()
+        for component in retired:
+            self._component_clusters.pop(component, None)
+        self._component_clusters.update(recomputed)
+        for position in reversed(removals):
+            del keys[position]
+            del entities[position]
+        for position, key, entity in zip(inserts, born, merged):
+            keys.insert(position, key)
+            entities.insert(position, entity)
+        restamped = len(born)
+        if removals or inserts:
+            # positions below every removal and insertion kept their index;
+            # so did those above them all when the list length is unchanged
+            low = min(removals[:1] + inserts[:1])
+            high = len(keys)
+            if len(removals) == len(inserts):
+                high = max(removals[-1], inserts[-1]) + 1
+            for index in range(low, high):
+                if entities[index].entity_id != f"entity:{index}":
+                    entities[index] = _restamped(entities[index], index)
+                    restamped += 1
+        return len(recomputed), len(born), restamped
 
     # -- batch oracle ------------------------------------------------------
 
@@ -496,12 +552,11 @@ class DeltaCurator(DeltaOperator):
         return consolidator.consolidate(list(self._records.values()))
 
 
-def _copy_entity(entity: ConsolidatedEntity, index: int) -> ConsolidatedEntity:
-    """Fresh entity with the given positional id (cache stays pristine)."""
-    return ConsolidatedEntity(
-        entity_id=f"entity:{index}",
-        member_record_ids=list(entity.member_record_ids),
-        source_ids=list(entity.source_ids),
-        attributes=dict(entity.attributes),
-        provenance={name: list(ids) for name, ids in entity.provenance.items()},
-    )
+def _restamped(entity: ConsolidatedEntity, index: int) -> ConsolidatedEntity:
+    """``entity`` under a new positional id.
+
+    A new object, not a mutation: the original may sit in a published
+    snapshot.  The attribute containers are shared with it, exactly as an
+    entity whose position did not move is shared between snapshots whole.
+    """
+    return replace(entity, entity_id=f"entity:{index}")

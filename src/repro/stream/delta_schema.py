@@ -72,11 +72,45 @@ from .scheduler import DeltaBatch
 #: Fan scoring out only when at least this many pairs miss the memo.
 _SCORE_FANOUT_FLOOR = 16
 
-#: Bound on the profile-token / score / merge memos before they are dropped
-#: and restarted (pure caches: clearing only costs recomputation).
-_CACHE_LIMIT = 1 << 18
-
 _MISSING = object()
+
+
+class _GenerationMemo:
+    """A pure cache that keeps only what the latest generation looked up.
+
+    Every refresh re-runs the whole cascade, so it looks up every entry the
+    current state needs.  :meth:`rotate` opens a generation; a lookup that
+    hits the previous one promotes the entry; :meth:`settle` drops what was
+    not looked up since.  The memo therefore holds one cascade's working
+    set, not every profile the stream ever produced.
+    """
+
+    __slots__ = ("_current", "_previous")
+
+    def __init__(self) -> None:
+        self._current: dict = {}
+        self._previous: dict = {}
+
+    def get(self, key):
+        value = self._current.get(key)
+        if value is None:
+            value = self._previous.get(key)
+            if value is not None:
+                self._current[key] = value
+        return value
+
+    def __setitem__(self, key, value) -> None:
+        self._current[key] = value
+
+    def __len__(self) -> int:
+        return len(self._current)
+
+    def rotate(self) -> None:
+        self._previous = self._current
+        self._current = {}
+
+    def settle(self) -> None:
+        self._previous = {}
 
 
 @dataclass(frozen=True)
@@ -425,11 +459,13 @@ class DeltaIntegrator(DeltaOperator):
         #: source integration order derives from each source's minimum
         self._positions: Dict[object, int] = {}
         self._next_position = 0
-        # pure caches — cleared wholesale whenever they outgrow the cap
-        self._profile_tokens: Dict[int, Tuple[int, AttributeProfile]] = {}
+        # pure caches, each holding the latest cascade's working set:
+        # id(profile) -> (token, profile); score key -> MatcherScore;
+        # (token, token) -> merged AttributeProfile
+        self._profile_tokens = _GenerationMemo()
         self._next_token = 0
-        self._score_memo: Dict[Tuple, MatcherScore] = {}
-        self._merge_memo: Dict[Tuple[int, int], AttributeProfile] = {}
+        self._score_memo = _GenerationMemo()
+        self._merge_memo = _GenerationMemo()
         self._schema = GlobalSchema(profile_merger=self._memoized_merge)
         self._integrator: Optional[_CascadeIntegrator] = None
         self._warm_table: Optional[tuple] = None
@@ -491,13 +527,11 @@ class DeltaIntegrator(DeltaOperator):
     # -- caches ------------------------------------------------------------
 
     def _profile_token(self, profile: AttributeProfile) -> int:
+        # the entry keeps its profile alive, so a live id is never reused;
+        # tokens are never reused either, so memo keys cannot alias
         entry = self._profile_tokens.get(id(profile))
         if entry is not None and entry[1] is profile:
             return entry[0]
-        if len(self._profile_tokens) >= _CACHE_LIMIT:
-            self._profile_tokens.clear()
-            self._score_memo.clear()
-            self._merge_memo.clear()
         token = self._next_token
         self._next_token += 1
         self._profile_tokens[id(profile)] = (token, profile)
@@ -510,8 +544,6 @@ class DeltaIntegrator(DeltaOperator):
         cached = self._merge_memo.get(key)
         if cached is None:
             cached = merged_profile(mine, other)
-            if len(self._merge_memo) >= _CACHE_LIMIT:
-                self._merge_memo.clear()
             self._merge_memo[key] = cached
         return cached
 
@@ -698,6 +730,9 @@ class DeltaIntegrator(DeltaOperator):
         self._escalations_replayed = 0
         values_profiled = 0
         columns_rebuilt = 0
+        memos = (self._profile_tokens, self._score_memo, self._merge_memo)
+        for memo in memos:
+            memo.rotate()
         schema = GlobalSchema(profile_merger=self._memoized_merge)
         integrator = _CascadeIntegrator(self, schema)
         for source_id, mirror in self._ordered_sources():
@@ -705,6 +740,8 @@ class DeltaIntegrator(DeltaOperator):
             values_profiled += mirror.appended
             mirror.appended = 0
             integrator.integrate_profiles(source_id, mirror.profiles())
+        for memo in memos:
+            memo.settle()
         self._schema = schema
         self._integrator = integrator
         self._dirty = False

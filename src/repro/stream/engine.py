@@ -119,6 +119,14 @@ class StreamingTamer:
             "Apply time per operator per micro-batch",
             labels=("operator",),
         )
+        self._m_refresh_work = registry.histogram(
+            "stream_refresh_work",
+            "Delta work per entity refresh: pairs classified, components "
+            "re-clustered, entities re-stamped",
+            labels=("work",),
+            buckets=DEFAULT_SIZE_BUCKETS,
+        )
+        self._observed_refresh = None
         self._m_rebuilds = registry.counter(
             "stream_rebuilds_total", "Full-rebuild fallback runs"
         )
@@ -410,10 +418,25 @@ class StreamingTamer:
             return None
         return self.apply_delta()
 
+    def _meter_refresh(self) -> None:
+        """Record the curator's latest refresh in the hub, once."""
+        stats = self._curator.last_stats
+        if stats is self._observed_refresh:
+            return
+        self._observed_refresh = stats
+        for work in (
+            "pairs_classified",
+            "components_recomputed",
+            "entities_restamped",
+        ):
+            self._m_refresh_work.labels(work=work).observe(getattr(stats, work))
+
     def refresh(self) -> List[ConsolidatedEntity]:
         """Apply pending deltas and return the curated entities."""
         self.apply_delta()
-        return self._curator.entities()
+        entities = self._curator.entities()
+        self._meter_refresh()
+        return entities
 
     def global_schema(self) -> GlobalSchema:
         """Apply pending deltas and return the streamed global schema.
@@ -437,7 +460,7 @@ class StreamingTamer:
         self._ensure_open()
         self.apply_delta()
         self._rebuild_all()
-        return self._curator.entities()
+        return self.refresh()
 
     def batch_reference(self) -> List[ConsolidatedEntity]:
         """A from-scratch batch consolidation over the current records.
@@ -491,11 +514,17 @@ class StreamingTamer:
         :attr:`StreamingTamer.watermark` (or the per-operator
         :meth:`watermarks`) themselves.
         """
-        entities = self.refresh()
+        self.apply_delta()
         watermark = self._curator.watermark
         schema_watermark = (
             self._integrator.watermark if self._integrator is not None else None
         )
+        if self._engine is not None and self._engine.watermark == watermark:
+            return self._engine
+        # the curator's per-refresh tuple goes into the snapshot as is: a
+        # publish right after refresh() copies nothing
+        entities = self._curator.entity_tuple()
+        self._meter_refresh()
         if self._engine is None:
             self._engine = QueryEngine(
                 entities,
@@ -504,7 +533,7 @@ class StreamingTamer:
                 schema_watermark=schema_watermark,
             )
             self._publish(self._engine.snapshot)
-        elif self._engine.watermark != watermark:
+        else:
             snapshot = self._engine.replace_entities(
                 entities,
                 watermark=watermark,

@@ -77,3 +77,25 @@ class TestBernoulliNaiveBayes:
         y = np.ones(10, dtype=int)
         model = BernoulliNaiveBayes().fit(X, y)
         assert model.predict(np.ones((1, 3)))[0] == 1
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
+    def test_chunked_probabilities_equal_full_matrix_bit_for_bit(self, chunk):
+        # the streaming curator classifies only the rows a delta produced;
+        # a row's probability must not depend on what shares its batch
+        rng = np.random.default_rng(5)
+        X_train = rng.random((300, 8))
+        y_train = (X_train[:, 0] + X_train[:, 3] > 1.0).astype(int)
+        model = BernoulliNaiveBayes().fit(X_train, y_train)
+        X = rng.random((257, 8))
+        full = model.predict_proba(X)
+        chunked = np.concatenate(
+            [
+                model.predict_proba(X[start : start + chunk])
+                for start in range(0, len(X), chunk)
+            ]
+        )
+        assert np.array_equal(full, chunked)
+        # strided and reordered inputs score the same floats too
+        order = rng.permutation(len(X))
+        assert np.array_equal(model.predict_proba(X[order]), full[order])
+        assert np.array_equal(model.predict_proba(np.asfortranarray(X)[::2]), full[::2])
