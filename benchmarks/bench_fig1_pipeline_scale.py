@@ -513,33 +513,13 @@ def test_fig1_kernel_scoring_matches_scalar(benchmark):
 
 
 def _memo_miss_value_pairs(records, pairs):
-    """The unique value pairs the kernel's stredit prefill would compute.
-
-    Walks the candidate pairs exactly as
-    :meth:`ScoringKernel._prefill_string_sims` does — shared attributes,
-    both values non-empty, distinct value ids, first occurrence wins — so
-    the benchmarked workload is the real one, not a synthetic proxy.
+    """The unique value pairs a cold kernel's memo misses hand the stredit
+    engine for these candidate pairs (:meth:`ScoringKernel.value_pairs`:
+    shared attributes, both values non-empty, distinct value ids, first
+    occurrence wins) — the real workload, not a synthetic proxy.
     """
-    kernel = ScoringKernel(use_stredit=False)
     by_id = {r.record_id: r for r in records}
-    seen = set()
-    out = []
-    for a, b in pairs:
-        row_a = kernel.intern(by_id[a])
-        row_b = kernel.intern(by_id[b])
-        for attr in row_a.attrs & row_b.attrs:
-            vid_a, len_a, _ = row_a.attr_table[attr]
-            vid_b, len_b, _ = row_b.attr_table[attr]
-            if not len_a or not len_b or vid_a == vid_b:
-                continue
-            key = (vid_a, vid_b)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                (kernel._values.string(vid_a), kernel._values.string(vid_b))
-            )
-    return out
+    return ScoringKernel().value_pairs(by_id, pairs)
 
 
 def _scale_workload(n_entities):

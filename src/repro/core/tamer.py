@@ -450,6 +450,7 @@ class DataTamer:
             key_attribute=resolved_key,
             merge_policy=merge_policy,
             executor=self._executor,
+            hub=self._hub,
         )
         return consolidator.consolidate(records)
 

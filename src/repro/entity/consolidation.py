@@ -16,6 +16,7 @@ the sequential ones.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -24,6 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from ..config import EntityConfig
 from ..errors import EntityResolutionError
 from ..exec.executor import ShardedExecutor, ShardPayload
+from ..obs import TelemetryHub, default_hub
 from .blocking import (
     BlockingResult,
     TokenBlocker,
@@ -35,6 +37,11 @@ from .clustering import cluster_pairs
 from .dedup import DedupModel
 from .kernel import CandidateFilter, ScoringKernel
 from .record import Record
+
+
+#: The stages :attr:`ConsolidationReport.stage_seconds` times, in run order.
+#: ``filter`` runs inside blocking but is timed apart from it.
+CONSOLIDATION_STAGES = ("block", "filter", "featurize", "classify", "cluster", "merge")
 
 
 class MergePolicy(Enum):
@@ -71,7 +78,9 @@ class ConsolidationReport:
     ``candidate_pairs`` counts what blocking emitted; ``pruned_pairs``
     counts how many of those the provable candidate filter discarded before
     feature extraction (``candidate_pairs - pruned_pairs`` pairs were
-    actually scored).
+    actually scored).  ``stage_seconds`` is the wall time of each of
+    :data:`CONSOLIDATION_STAGES`; it is a measurement, not an outcome, so it
+    is left out of :meth:`as_dict` and of equality.
     """
 
     input_records: int
@@ -81,6 +90,7 @@ class ConsolidationReport:
     merged_entities: int
     blocking_reduction: float
     pruned_pairs: int = 0
+    stage_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
 
     def as_dict(self) -> dict:
         """Return the report as a dictionary (for benchmarks/EXPERIMENTS.md)."""
@@ -203,7 +213,12 @@ def merge_clusters(
 
 
 class EntityConsolidator:
-    """Run the full consolidation pipeline over a set of records."""
+    """Run the full consolidation pipeline over a set of records.
+
+    Each run's per-stage wall times land in the report and in the hub's
+    ``entity_stage_seconds{stage}`` histogram (the executor's hub unless one
+    is given).
+    """
 
     def __init__(
         self,
@@ -213,6 +228,7 @@ class EntityConsolidator:
         merge_policy: MergePolicy = MergePolicy.MAJORITY,
         max_cluster_size: Optional[int] = 50,
         executor: Optional[ShardedExecutor] = None,
+        hub: Optional[TelemetryHub] = None,
     ):
         self._model = model
         self._config = config or EntityConfig()
@@ -222,6 +238,13 @@ class EntityConsolidator:
         self._max_cluster_size = max_cluster_size
         self._executor = executor
         self._last_report: Optional[ConsolidationReport] = None
+        if hub is None:
+            hub = getattr(executor, "hub", None) or default_hub()
+        self._m_stage_time = hub.registry.histogram(
+            "entity_stage_seconds",
+            "Wall time of one consolidation stage",
+            labels=("stage",),
+        )
 
     @property
     def executor(self) -> Optional[ShardedExecutor]:
@@ -283,6 +306,9 @@ class EntityConsolidator:
         if len(by_id) != len(records):
             raise EntityResolutionError("record ids must be unique")
 
+        stages = dict.fromkeys(CONSOLIDATION_STAGES, 0.0)
+        clock = time.perf_counter
+        begin = clock()
         kernel = ScoringKernel(
             compare_attributes=getattr(self._model, "compare_attributes", None)
         )
@@ -290,12 +316,24 @@ class EntityConsolidator:
         if self._config.candidate_filtering:
             candidate_filter = CandidateFilter.from_model(self._model)
             if candidate_filter is not None:
-                pair_filter = candidate_filter.as_pair_filter(kernel, by_id)
+                split = candidate_filter.as_pair_filter(kernel, by_id)
+
+                def pair_filter(pairs):
+                    # runs inside the blocker: timed apart from it
+                    start = clock()
+                    try:
+                        return split(pairs)
+                    finally:
+                        stages["filter"] += clock() - start
+
         blocking = self.candidate_pairs(
             records, pair_filter=pair_filter, kernel=kernel
         )
         candidate_list = sorted(blocking.pairs)
-        scores, matched = self._score_and_match(by_id, candidate_list, kernel=kernel)
+        mark = clock()
+        stages["block"] = mark - begin - stages["filter"]
+        scores, matched = self._score_and_match(by_id, candidate_list, kernel, stages)
+        mark = clock()
         clusters = cluster_pairs(
             list(by_id.keys()),
             matched,
@@ -305,7 +343,12 @@ class EntityConsolidator:
         ordered_clusters = list(
             enumerate(sorted(clusters, key=lambda c: sorted(c)[0]))
         )
+        stages["cluster"] = clock() - mark
+        mark = clock()
         entities = self._merge_clusters(ordered_clusters, by_id)
+        stages["merge"] = clock() - mark
+        for stage, seconds in stages.items():
+            self._m_stage_time.labels(stage=stage).observe(seconds)
         self._last_report = ConsolidationReport(
             input_records=len(records),
             candidate_pairs=blocking.emitted_count,
@@ -314,6 +357,7 @@ class EntityConsolidator:
             merged_entities=sum(1 for e in entities if e.size > 1),
             blocking_reduction=blocking.reduction_ratio,
             pruned_pairs=blocking.pruned_pairs,
+            stage_seconds=stages,
         )
         return entities
 
@@ -323,33 +367,43 @@ class EntityConsolidator:
         self,
         by_id: Dict[str, Record],
         candidate_list: Sequence[Tuple[str, str]],
-        kernel: Optional[ScoringKernel] = None,
+        kernel: ScoringKernel,
+        stages: Dict[str, float],
     ) -> Tuple[Dict[Tuple[str, str], float], List[Tuple[str, str]]]:
         """Score candidates and split out the matched pairs, in pair order.
 
         The batched path fans chunks out through the executor; for linear
         models the chunk workers also apply the match decision, so the
         matched list comes back from the workers rather than being
-        re-derived here.  Either way the probabilities — and therefore the
-        matched set — are exactly the sequential scorer's, because every
-        flavour scores with the same fixed-order linear arithmetic.  The
-        shared ``kernel`` carries interned record data from the
-        blocking/filtering phases into scoring.
+        re-derived here (and the fan-out is timed as ``featurize``).
+        Either way the probabilities — and therefore the matched set — are
+        exactly the sequential scorer's, because every flavour scores with
+        the same fixed-order linear arithmetic.  The shared ``kernel``
+        carries interned record data from the blocking/filtering phases
+        into scoring.
         """
-        threshold = self._model.threshold
+        clock = time.perf_counter
+        begin = clock()
         if self._executor is None or not self._executor.fans_out:
-            scores = self._model.score_pairs(by_id, candidate_list, kernel=kernel)
-            matched = [
-                pair for pair, prob in scores.items() if prob >= threshold
-            ]
-            return scores, matched
-        # Imported here, not at module level: exec.batch depends on
-        # entity.similarity, so a module-level import would be circular.
-        from ..exec.batch import BatchScorer
+            features = kernel.features_for_pairs(by_id, candidate_list)
+            mark = clock()
+            probabilities = self._model.predict_proba_features(features)
+            scores = {
+                pair: float(prob) for pair, prob in zip(candidate_list, probabilities)
+            }
+            threshold = self._model.threshold
+            matched = [pair for pair, prob in scores.items() if prob >= threshold]
+        else:
+            # Imported here, not at module level: exec.batch depends on
+            # entity.similarity, so a module-level import would be circular.
+            from ..exec.batch import BatchScorer
 
-        scorer = BatchScorer(self._model, executor=self._executor, kernel=kernel)
-        scores, decided = scorer.score_and_decide(by_id, candidate_list)
-        matched = [pair for pair in scores if pair in decided]
+            scorer = BatchScorer(self._model, executor=self._executor, kernel=kernel)
+            scores, decided = scorer.score_and_decide(by_id, candidate_list)
+            mark = clock()
+            matched = [pair for pair in scores if pair in decided]
+        stages["featurize"] = mark - begin
+        stages["classify"] = clock() - mark
         return scores, matched
 
     # -- merging -----------------------------------------------------------

@@ -14,13 +14,15 @@ This module makes the pipeline columnar:
 * :class:`TokenVocabulary` interns tokens (and normalized attribute values)
   to dense integer ids, so token multisets become sorted ``int64`` arrays
   and value equality becomes integer comparison;
-* :class:`ScoringKernel` stores each record's token-id array, counts, norm,
-  attribute set and normalized/numeric values **exactly once**, then
-  computes ``token_jaccard`` / ``token_cosine`` / ``length_ratio`` for a
-  whole block of pairs with numpy array ops (a single sort over the
-  concatenated per-pair token streams finds every intersection), and
-  memoizes the string-edit similarity per unique *value* pair instead of
-  per record pair;
+* :class:`ScoringKernel` gives every interned record a dense **row**: per-
+  record columns (distinct and total token counts, norm, text-blob length,
+  attribute-signature id) and per-attribute columns (normalized-value id,
+  normalized length, numeric value and its presence) are filled once, at
+  intern time.  A batch of pairs is two ``int64`` row arrays, and all eight
+  features are computed for the whole batch with gathers and elementwise
+  ops — a single sort over the concatenated per-pair token streams finds
+  every token intersection, and the string-edit similarity is memoized per
+  unique *value* pair instead of per record pair;
 * :class:`CandidateFilter` prunes candidate pairs that **provably** cannot
   reach the classifier's match threshold, using PPJoin-style length/prefix
   filters on the token sets plus a sound per-pair upper bound on the linear
@@ -33,13 +35,26 @@ Equivalence guarantee
 ``ScoringKernel.features_for_pairs`` is **bit-for-bit identical** to calling
 :func:`pair_features` per pair.  The load-bearing details:
 
-* every division/sqrt happens on exactly the same operands in the same
-  order (integer intersections are exact in float64, ``np.sqrt`` and
-  ``math.sqrt`` are both correctly rounded);
-* the per-attribute loops iterate the same ``attrs_a & attrs_b`` set —
-  built from identically-constructed per-record sets — so the
-  ``np.mean`` summation order of the string/numeric similarity lists is
-  the scalar one;
+* every division/sqrt happens on exactly the same operands: integer counts
+  and lengths stay ``int64`` up to the one true division the scalar path
+  does on Python ints (both are correctly rounded), and ``np.sqrt`` and
+  ``math.sqrt`` are both correctly rounded;
+* the per-attribute similarity lists are built in the scalar loop's order,
+  the iteration order of ``attrs_a & attrs_b``.  CPython builds that set by
+  walking the smaller operand (the right one on a tie) and inserting into a
+  fresh set, so the order is a function of the two sets' own iteration
+  orders.  A record's *signature* is its populated-attribute set's
+  iteration order, and the order is taken once per ordered signature pair,
+  from a real intersection of two sets rebuilt exactly like the first
+  records of those signatures built theirs;
+* ``np.mean`` of a k-element list is reproduced by ``np.add.reduce`` along
+  axis 1 of a C-contiguous ``(m, k)`` matrix holding the m rows with
+  exactly k entries, divided by k — the same pairwise summation the 1-d
+  mean runs.  Accumulating column by column is *not* the same sum from
+  k = 8 up;
+* Python's ``max(a, b)`` is ``b if b > a else a``, which treats NaN
+  differently from ``np.maximum``; it is written as exactly that
+  ``np.where`` (numeric values such as ``"nan"`` or ``"1e999"`` reach it);
 * memoized string-edit scores are the exact floats
   ``max(levenshtein_ratio(a, b), jaro_winkler(a, b))`` returns (equal
   values short-circuit to the same ``1.0`` both functions produce).
@@ -54,9 +69,11 @@ sound length-derived upper/lower bounds).
 from __future__ import annotations
 
 import math
-from collections import Counter
+import threading
+from collections import Counter, deque
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
     List,
@@ -86,6 +103,22 @@ _PRUNE_MARGIN = 1e-9
 #: Bound on the string-sim memo before it is dropped and restarted (keeps a
 #: long-lived streaming kernel from growing without limit).
 _MEMO_LIMIT = 1 << 20
+
+#: Two 32-bit ids packed into one int64 key: ``(high << 32) | low``.
+_LOW32 = (1 << 32) - 1
+
+_NO_TOKENS = np.zeros(0, dtype=np.int64)
+
+#: Per-record row columns, and per-(record, attribute) columns.
+_ROW_COLUMNS = (
+    "_n_distinct",
+    "_n_tokens",
+    "_norm",
+    "_blob_len",
+    "_n_attrs",
+    "_signature",
+)
+_ATTRIBUTE_COLUMNS = ("_value_id", "_value_len", "_numeric", "_has_numeric")
 
 
 class TokenVocabulary:
@@ -140,62 +173,154 @@ class TokenVocabulary:
         return self._lex_ranks
 
 
-class RecordTokenData:
-    """Everything the kernel needs about one record, computed once.
+# -- array helpers --------------------------------------------------------------
 
-    ``uids``/``counts`` are the sorted unique token ids of the record's text
-    blob with their multiplicities; ``norm``/``sq_sum`` back the cosine;
-    ``attrs`` is the populated-attribute set built exactly like the scalar
-    path builds it (so set-intersection iteration order matches); and
-    ``attr_table`` maps each populated attribute to its interned normalized
-    value id, normalized length and numeric interpretation.
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` per element, ``0.0`` where it is 0.
+
+    The scalar path's ``len(x) / len(y) if y else 0.0`` on Python ints: the
+    int64 operands convert exactly and the one division is correctly
+    rounded, as Python's int true division is.
+    """
+    out = np.zeros(numerator.shape[0], dtype=np.float64)
+    nonzero = denominator != 0
+    out[nonzero] = numerator[nonzero] / denominator[nonzero]
+    return out
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the segments ``[start, start + length)``, in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.shape[0] else 0, dtype=np.int64) + (
+        np.repeat(starts - (ends - lengths), lengths)
+    )
+
+
+def _pair_streams(
+    local: np.ndarray, sizes: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gather, pair_index)``: indices into a :meth:`ScoringKernel
+    ._batch_tokens` run of the first ``lengths[k]`` ids of every pair's two
+    records (all pairs' first sides, then all second sides), and the pair
+    each gathered id belongs to."""
+    n_pairs = local.shape[0] // 2
+    taken = lengths[local]
+    gather = _ragged((np.cumsum(sizes) - sizes)[local], taken)
+    pair_index = np.repeat(np.tile(np.arange(n_pairs, dtype=np.int64), 2), taken)
+    return gather, pair_index
+
+
+def _row_means(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``float(np.mean(row[row_mask]))`` per row, ``0.0`` when none is selected.
+
+    Bit-identical to the 1-d mean of each row's selected entries in their
+    left-to-right order: rows are grouped by selection size k and each group
+    is reduced as one C-contiguous ``(m, k)`` matrix along axis 1, then
+    divided by k.  The loop runs once per distinct k — at most once per
+    attribute, never per pair.
+    """
+    counts = mask.sum(axis=1)
+    out = np.zeros(values.shape[0], dtype=np.float64)
+    selected = values[mask]
+    starts = np.cumsum(counts) - counts
+    for size in np.unique(counts).tolist():
+        if size == 0:
+            continue
+        members = np.flatnonzero(counts == size)
+        block = selected[starts[members][:, None] + np.arange(size)]
+        out[members] = np.add.reduce(block, axis=1) / size
+    return out
+
+
+class _SharedSlots:
+    """The shared attributes of a pair batch as ``(pairs, K)`` matrices.
+
+    Slot ``j`` of a pair holds both records' cells for the ``j``-th
+    attribute of ``attrs_a & attrs_b`` in the scalar loop's iteration order.
+    Slots past a pair's own shared count point at the kernel's
+    never-populated column 0 (length 0, no numeric value), so the masks
+    below exclude them without a separate validity test.
     """
 
     __slots__ = (
-        "record",
-        "uids",
-        "counts",
-        "n_tokens",
-        "n_distinct",
-        "sq_sum",
-        "norm",
-        "blob_len",
-        "attrs",
-        "attr_table",
+        "n_shared",
+        "union",
+        "vid_a",
+        "vid_b",
+        "len_a",
+        "len_b",
+        "num_a",
+        "num_b",
+        "numeric",
+        "both",
+        "equal",
+        "lookup",
     )
 
-    def __init__(
+    def cheap_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The exact ``(shared_attr_ratio, exact_match_fraction,
+        numeric_closeness)`` columns."""
+        shared_ratio = _ratio(self.n_shared, self.union)
+        # equal non-empty values (equal ids imply equal lengths)
+        exact_fraction = _ratio(self.equal.sum(axis=1), self.n_shared)
+        abs_a, abs_b = np.abs(self.num_a), np.abs(self.num_b)
+        denom = np.where(abs_b > abs_a, abs_b, abs_a)
+        with np.errstate(all="ignore"):
+            closeness = 1.0 - np.abs(self.num_a - self.num_b) / denom
+        closeness = np.where(closeness > 0.0, closeness, 0.0)
+        closeness = np.where(denom == 0, 1.0, closeness)
+        return shared_ratio, exact_fraction, _row_means(closeness, self.numeric)
+
+    def string_bounds(
         self,
-        record: Record,
-        uids: np.ndarray,
-        counts: np.ndarray,
-        n_tokens: int,
-        sq_sum: int,
-        blob_len: int,
-        attrs: Set[str],
-        attr_table: Dict[str, Tuple[int, int, Optional[float]]],
-    ):
-        self.record = record
-        self.uids = uids
-        self.counts = counts
-        self.n_tokens = n_tokens
-        self.n_distinct = int(uids.shape[0])
-        self.sq_sum = sq_sum
-        # bit-identical to the scalar path's math.sqrt over the same int
-        self.norm = math.sqrt(sq_sum)
-        self.blob_len = blob_len
-        self.attrs = attrs
-        self.attr_table = attr_table
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(mean_lb, mean_ub, max_lb, max_ub)`` of the string-edit features.
+
+        Equal value ids pin a similarity to exactly 1.0; unequal values
+        admit ``levenshtein_ratio <= 1 - max(1, |la-lb|)/max`` (edit
+        distance is at least the length difference, and at least 1 for
+        distinct strings) and ``jaro_winkler <= 0.4 + 0.6*(2 + min/max)/3``
+        (matches are bounded by the shorter string, the Winkler prefix boost
+        is capped at 4 characters).  Both bounds are monotone consequences
+        of the implementations in :mod:`repro.schema.matchers`;
+        correctly-rounded float division keeps the monotonicity, and the
+        filter adds a margin before pruning.
+        """
+        longest = np.where(self.len_a >= self.len_b, self.len_a, self.len_b)
+        shortest = self.len_a + self.len_b - longest
+        with np.errstate(all="ignore"):
+            lev_ub = 1.0 - np.maximum(longest - shortest, 1) / longest
+            jw_ub = 0.4 + 0.6 * (2.0 + shortest / longest) / 3.0
+        upper = np.where(lev_ub >= jw_ub, lev_ub, jw_ub)
+        upper = np.where(upper <= 1.0, upper, 1.0)
+        bounds = np.where(self.equal, 1.0, np.where(self.both, upper, 0.0))
+        n_equal = self.equal.sum(axis=1)
+        return (
+            _ratio(n_equal, self.both.sum(axis=1)),
+            _row_means(bounds, self.both),
+            np.where(n_equal > 0, 1.0, 0.0),
+            np.max(bounds, axis=1, initial=0.0),
+        )
 
 
 class ScoringKernel:
-    """Columnar pair featurization over interned per-record data.
+    """Columnar pair featurization over interned per-record rows.
 
     One kernel instance owns a :class:`TokenVocabulary` (tokens), a value
-    interning table (normalized attribute values), the per-record data
-    cache, and the string-edit memo.  It is cheap to build and grows lazily:
-    records are interned on first use and re-interned automatically when a
-    record id reappears with different content (streaming updates).
+    interning table (normalized attribute values), the per-record row
+    tables, the shared-attribute order table and the string-edit memo.  It
+    is cheap to build and grows lazily: records are interned on first use
+    and re-interned automatically when a record id reappears with different
+    content (streaming updates).
+
+    A discarded or re-interned record's row is *retired* and reused only by
+    an :meth:`intern` in a later batch, so no batch ever sees one of its rows
+    rewritten and the tables stay bounded by the live records plus one
+    batch's churn.  Row tables are written only by :meth:`intern` (and
+    :meth:`intern_all`, :meth:`discard`): batch calls over records already
+    interned only read them, which is what lets thread-backend workers share
+    one kernel.
     """
 
     def __init__(
@@ -211,22 +336,46 @@ class ScoringKernel:
         self._use_stredit = bool(use_stredit)
         self.vocabulary = TokenVocabulary()
         self._values = TokenVocabulary()
-        self._cache: Dict[str, RecordTokenData] = {}
+        # -- per-record rows
+        self._row_of: Dict[str, int] = {}
+        self._records: List[Optional[Record]] = []
+        self._uids: List[np.ndarray] = []
+        self._counts: List[np.ndarray] = []
+        self._free_rows: List[int] = []
+        #: (batch epoch of retirement, row), oldest first
+        self._retired: Deque[Tuple[int, int]] = deque()
+        self._epoch = 0
+        self._n_distinct = np.zeros(0, dtype=np.int64)
+        self._n_tokens = np.zeros(0, dtype=np.int64)
+        self._norm = np.zeros(0, dtype=np.float64)
+        self._blob_len = np.zeros(0, dtype=np.int64)
+        self._n_attrs = np.zeros(0, dtype=np.int64)
+        self._signature = np.zeros(0, dtype=np.int64)
+        # -- per-(row, attribute column) cells; column 0 is never populated
+        self._attr_column: Dict[str, int] = {}
+        self._value_id = np.zeros((0, 1), dtype=np.int64)
+        self._value_len = np.zeros((0, 1), dtype=np.int64)
+        self._numeric = np.zeros((0, 1), dtype=np.float64)
+        self._has_numeric = np.zeros((0, 1), dtype=bool)
+        # -- attribute signatures and the shared-attribute order table
+        self._signature_of: Dict[Tuple[str, ...], int] = {}
+        #: signature -> populated keys of its first record, in dict order
+        self._signature_keys: List[List[str]] = []
+        #: ordered signature pair key -> entry of ``_order``/``_order_len``
+        self._order_entry: Dict[int, int] = {}
+        self._order = np.zeros((0, 0), dtype=np.int64)
+        self._order_len = np.zeros(0, dtype=np.int64)
+        self._order_lock = threading.Lock()
         #: Two-generation string-sim memo: lookups hit the new generation
         #: first, then the old one (promoting on hit).  When the new
         #: generation reaches ``_memo_limit`` it *becomes* the old one
         #: instead of being cleared, so hot value pairs survive eviction —
         #: a flat ``clear()`` caused a recompute storm on the next batch.
         self._memo_limit = _MEMO_LIMIT
-        self._string_sim_new: Dict[Tuple[int, int], float] = {}
-        self._string_sim_old: Dict[Tuple[int, int], float] = {}
+        self._string_sim_new: Dict[int, float] = {}
+        self._string_sim_old: Dict[int, float] = {}
         self._memo_hits = 0
         self._memo_misses = 0
-        #: pair -> (data_a, data_b, jaccard, cosine, shared, exact, numeric,
-        #: length_ratio): the cheap feature columns the candidate filter
-        #: already computed for surviving pairs, consumed (and identity-
-        #: validated) by the next featurization instead of recomputed
-        self._cheap_stash: Dict[Pair, tuple] = {}
 
     @property
     def compare_attributes(self) -> Optional[List[str]]:
@@ -240,7 +389,12 @@ class ScoringKernel:
     @property
     def cached_records(self) -> int:
         """Number of records currently interned."""
-        return len(self._cache)
+        return len(self._row_of)
+
+    @property
+    def table_rows(self) -> int:
+        """Rows allocated in the per-record tables (live or awaiting reuse)."""
+        return len(self._records)
 
     @property
     def memo_size(self) -> int:
@@ -249,12 +403,18 @@ class ScoringKernel:
 
     @property
     def memo_hits(self) -> int:
-        """String-sim memo lookups answered from either generation."""
+        """String-sim lookups answered by the memo (either generation)."""
         return self._memo_hits
 
     @property
     def memo_misses(self) -> int:
-        """String-sim memo lookups that had to compute the similarity."""
+        """String-sim lookups that had to compute the similarity.
+
+        Every (pair, shared attribute) lookup of two unequal non-empty
+        values counts once: ``memo_hits + memo_misses`` is the number of
+        lookups, and a value pair first met in a batch is one miss however
+        many pairs of that batch look it up.
+        """
         return self._memo_misses
 
     @property
@@ -262,78 +422,41 @@ class ScoringKernel:
         """Whether memo misses are batch-computed by the stredit engine."""
         return self._use_stredit
 
-    @property
-    def cheap_stash_size(self) -> int:
-        """Filter-computed cheap feature rows awaiting featurization."""
-        return len(self._cheap_stash)
-
-    # -- filter → featurization hand-off -------------------------------------
-
-    def stash_cheap_features(
-        self,
-        pair: Pair,
-        data_a: "RecordTokenData",
-        data_b: "RecordTokenData",
-        jaccard: float,
-        cosine: float,
-        shared_ratio: float,
-        exact_fraction: float,
-        numeric: float,
-        length_ratio: float,
-    ) -> None:
-        """Bank the cheap feature columns the candidate filter computed.
-
-        The filter evaluates six of the eight features *exactly* (only the
-        two string-edit features are bounded), so a surviving pair's next
-        featurization can reuse them instead of recomputing.  Entries are
-        keyed by pair id and validated against the interned per-record data
-        objects at use — a record change re-interns and invalidates them.
-        """
-        if len(self._cheap_stash) >= _MEMO_LIMIT:
-            self._cheap_stash.clear()
-        self._cheap_stash[pair] = (
-            data_a,
-            data_b,
-            jaccard,
-            cosine,
-            shared_ratio,
-            exact_fraction,
-            numeric,
-            length_ratio,
-        )
-
-    def clear_cheap_stash(self) -> None:
-        """Drop banked cheap features (fan-out paths featurize elsewhere)."""
-        self._cheap_stash.clear()
-
     # -- interning -----------------------------------------------------------
 
-    def intern(self, record: Record) -> RecordTokenData:
-        """Per-record data for ``record``, computed once and cached.
+    def intern(self, record: Record) -> int:
+        """The row holding ``record``'s interned data, built on first use.
 
-        The cache is keyed by record id and validated against the record's
+        Rows are keyed by record id and validated against the record's
         content, so streaming updates (same id, new fields) re-intern
-        transparently.
+        transparently; the stale row is retired, not overwritten.
         """
-        cached = self._cache.get(record.record_id)
-        if cached is not None and (cached.record is record or cached.record == record):
-            return cached
-        data = self._build(record)
-        self._cache[record.record_id] = data
-        return data
+        row = self._row_of.get(record.record_id)
+        if row is not None:
+            cached = self._records[row]
+            if cached is record or cached == record:
+                return row
+            self._retire(row)
+        row = self._allocate_row()
+        self._fill(row, record)
+        self._row_of[record.record_id] = row
+        return row
 
     def discard(self, record_id: str) -> None:
         """Drop a record's interned data (streaming deletes)."""
-        self._cache.pop(record_id, None)
+        row = self._row_of.pop(record_id, None)
+        if row is not None:
+            self._retire(row)
 
     def intern_all(self, records: Iterable[Record]) -> None:
         """Intern many records up front.
 
         Thread-backend fan-outs call this before sharing the kernel across
-        worker threads: afterwards workers only *read* record data (the
+        worker threads: afterwards workers only *read* the row tables (the
         string-sim memo is still written, but concurrent writes of an
         identical value are benign under the GIL).
         """
+        self._epoch += 1
         for record in records:
             self.intern(record)
 
@@ -345,10 +468,49 @@ class ScoringKernel:
         ``compare_attributes`` restriction (the blob is the whole record,
         exactly what ``TokenBlocker`` tokenizes).
         """
-        data = self.intern(record)
-        return [self.vocabulary.string(int(uid)) for uid in data.uids]
+        string = self.vocabulary.string
+        return [string(uid) for uid in self._uids[self.intern(record)].tolist()]
 
-    def _build(self, record: Record) -> RecordTokenData:
+    def _retire(self, row: int) -> None:
+        self._records[row] = None
+        self._retired.append((self._epoch, row))
+
+    def _allocate_row(self) -> int:
+        """A free row: one retired before the current batch began, else new."""
+        retired = self._retired
+        while retired and retired[0][0] < self._epoch:
+            self._free_rows.append(retired.popleft()[1])
+        if self._free_rows:
+            return self._free_rows.pop()
+        row = len(self._records)
+        self._records.append(None)
+        self._uids.append(_NO_TOKENS)
+        self._counts.append(_NO_TOKENS)
+        if row >= self._n_distinct.shape[0]:
+            self._grow(row + 1, self._value_id.shape[1])
+        return row
+
+    def _grow(self, rows: int, columns: int) -> None:
+        """Reallocate the row tables to at least ``rows`` x ``columns``."""
+        old_rows, old_columns = self._value_id.shape
+        if rows > old_rows:
+            rows = max(rows, 2 * old_rows, 16)
+        if columns > old_columns:
+            columns = max(columns, 2 * old_columns)
+        rows, columns = max(rows, old_rows), max(columns, old_columns)
+        for name in _ROW_COLUMNS:
+            old = getattr(self, name)
+            new = np.zeros(rows, dtype=old.dtype)
+            new[:old_rows] = old
+            setattr(self, name, new)
+        for name in _ATTRIBUTE_COLUMNS:
+            old = getattr(self, name)
+            new = np.zeros((rows, columns), dtype=old.dtype)
+            new[:old_rows, :old_columns] = old
+            setattr(self, name, new)
+
+    def _fill(self, row: int, record: Record) -> None:
+        """Write ``record``'s per-record and per-attribute cells into ``row``."""
         dict_r = record.as_dict()
         blob = record.text_blob(self._compare_attributes)
         tokens = self._tokenizer(blob)
@@ -360,296 +522,344 @@ class ScoringKernel:
             uids[slot] = self.vocabulary.intern(token)
             raw_counts[slot] = count
         order = np.argsort(uids)
-        uids = uids[order]
         counts = raw_counts[order]
-        sq_sum = int(np.dot(counts, counts)) if n_distinct else 0
 
-        # the attribute set must be built exactly like the scalar path does
-        # (same insertion sequence), so `attrs_a & attrs_b` iterates shared
-        # attributes in the scalar order and the np.mean summation order of
-        # the similarity lists matches bit for bit
-        attrs = {k for k, v in dict_r.items() if v not in (None, "")}
+        populated = [k for k, v in dict_r.items() if v not in (None, "")]
+        attrs = self._attribute_set(populated)
+        columns = [self._column_for(attr) for attr in attrs]
+        if columns and max(columns) >= self._value_id.shape[1]:
+            self._grow(self._n_distinct.shape[0], max(columns) + 1)
+
+        self._records[row] = record
+        self._uids[row] = uids[order]
+        self._counts[row] = counts
+        self._n_distinct[row] = n_distinct
+        self._n_tokens[row] = len(tokens)
+        # bit-identical to the scalar path's math.sqrt over the same int
+        self._norm[row] = math.sqrt(int(np.dot(counts, counts)) if n_distinct else 0)
+        self._blob_len[row] = len(blob)
+        self._n_attrs[row] = len(attrs)
+        self._signature[row] = self._signature_for(attrs, populated)
+        # a reused row still holds its previous tenant's attribute cells
+        self._value_id[row] = 0
+        self._value_len[row] = 0
+        self._numeric[row] = 0.0
+        self._has_numeric[row] = False
+        for attr, column in zip(attrs, columns):
+            normalized = record.normalized(attr)
+            self._value_id[row, column] = self._values.intern(normalized)
+            self._value_len[row, column] = len(normalized)
+            numeric = _to_float(dict_r.get(attr))
+            if numeric is not None:
+                self._numeric[row, column] = numeric
+                self._has_numeric[row, column] = True
+
+    def _column_for(self, attr: str) -> int:
+        column = self._attr_column.get(attr)
+        if column is None:
+            column = len(self._attr_column) + 1
+            self._attr_column[attr] = column
+        return column
+
+    def _attribute_set(self, populated: Iterable[str]) -> Set[str]:
+        """The populated-attribute set, built exactly like the scalar path
+        builds it (same insertion sequence, hence the same table layout and
+        iteration order)."""
+        attrs = {k for k in populated}
         if self._compare_attributes is not None:
             attrs &= set(self._compare_attributes)
-        attr_table: Dict[str, Tuple[int, int, Optional[float]]] = {}
-        for attr in attrs:
-            value = dict_r.get(attr)
-            normalized = record.normalized(attr)
-            attr_table[attr] = (
-                self._values.intern(normalized),
-                len(normalized),
-                _to_float(value),
-            )
-        return RecordTokenData(
-            record=record,
-            uids=uids,
-            counts=counts,
-            n_tokens=len(tokens),
-            sq_sum=sq_sum,
-            blob_len=len(blob),
-            attrs=attrs,
-            attr_table=attr_table,
+        return attrs
+
+    def _signature_for(self, attrs: Set[str], populated: List[str]) -> int:
+        """The id of ``attrs``'s iteration order.
+
+        The first record's populated keys are kept to rebuild the set: an
+        intersection must run on two distinct set objects, because CPython
+        answers ``s & s`` with a copy of ``s`` — an order two records that
+        merely share a signature do not get.
+        """
+        key = tuple(attrs)
+        signature = self._signature_of.get(key)
+        if signature is None:
+            signature = len(self._signature_keys)
+            self._signature_of[key] = signature
+            self._signature_keys.append(populated)
+        return signature
+
+    # -- pair batches ----------------------------------------------------------
+
+    def _rows_for(
+        self, records_by_id: Dict[str, Record], pairs: Sequence[Pair]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row_a, row_b)`` arrays for a batch of record-id pairs.
+
+        Starts a batch (rows retired before it become reusable) and interns
+        each distinct record once; an already-interned record costs a
+        dictionary hit and an identity check, not a call.
+        """
+        self._epoch += 1
+        ids_a = [a for a, _ in pairs]
+        ids_b = [b for _, b in pairs]
+        row_of = dict.fromkeys(ids_a)
+        row_of.update(dict.fromkeys(ids_b))
+        interned, records = self._row_of, self._records
+        for record_id in row_of:
+            record = records_by_id[record_id]
+            row = interned.get(record_id)
+            if row is None or records[row] is not record:
+                row = self.intern(record)
+            row_of[record_id] = row
+        n_pairs = len(ids_a)
+        return (
+            np.fromiter(map(row_of.__getitem__, ids_a), dtype=np.int64, count=n_pairs),
+            np.fromiter(map(row_of.__getitem__, ids_b), dtype=np.int64, count=n_pairs),
         )
+
+    def _shared_order(
+        self, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(columns, n_shared)``: per pair, the attribute columns of
+        ``attrs_a & attrs_b`` in iteration order (0-padded) and their count.
+        """
+        keys = (self._signature[rows_a] << 32) | self._signature[rows_b]
+        unique, inverse = np.unique(keys, return_inverse=True)
+        entries = []
+        for key in unique.tolist():
+            entry = self._order_entry.get(key)
+            if entry is None:
+                entry = self._add_order_entry(key)
+            entries.append(entry)
+        # read after every entry above was published
+        order, order_len = self._order, self._order_len
+        picked = np.asarray(entries, dtype=np.int64)[inverse]
+        n_shared = order_len[picked]
+        return order[picked, : int(n_shared.max())], n_shared
+
+    def _add_order_entry(self, key: int) -> int:
+        """Take the shared-attribute order of one ordered signature pair
+        from a real intersection of its two signatures' rebuilt sets.
+
+        Thread-backend workers share the kernel and may meet a new signature
+        pair at the same time, hence the lock; a grown table replaces the
+        old one, and an entry's row is written before its id is published.
+        """
+        with self._order_lock:
+            entry = self._order_entry.get(key)
+            if entry is not None:
+                return entry
+            keys = self._signature_keys
+            shared = self._attribute_set(keys[key >> 32]) & self._attribute_set(
+                keys[key & _LOW32]
+            )
+            columns = [self._attr_column[attr] for attr in shared]
+            entry = len(self._order_entry)
+            rows, width = self._order.shape
+            if entry >= rows or len(columns) > width:
+                order = np.zeros(
+                    (max(2 * rows, 16), max(width, len(columns))), dtype=np.int64
+                )
+                order[:rows, :width] = self._order
+                order_len = np.zeros(order.shape[0], dtype=np.int64)
+                order_len[:rows] = self._order_len
+                self._order, self._order_len = order, order_len
+            self._order[entry, : len(columns)] = columns
+            self._order_len[entry] = len(columns)
+            self._order_entry[key] = entry
+            return entry
+
+    def _shared_slots(self, rows_a: np.ndarray, rows_b: np.ndarray) -> _SharedSlots:
+        columns, n_shared = self._shared_order(rows_a, rows_b)
+        a, b = rows_a[:, None], rows_b[:, None]
+        slots = _SharedSlots()
+        slots.n_shared = n_shared
+        slots.union = self._n_attrs[rows_a] + self._n_attrs[rows_b] - n_shared
+        slots.vid_a = self._value_id[a, columns]
+        slots.vid_b = self._value_id[b, columns]
+        slots.len_a = self._value_len[a, columns]
+        slots.len_b = self._value_len[b, columns]
+        slots.num_a = self._numeric[a, columns]
+        slots.num_b = self._numeric[b, columns]
+        slots.numeric = self._has_numeric[a, columns] & self._has_numeric[b, columns]
+        # both values non-empty: the slots behind the string-edit features
+        slots.both = (slots.len_a > 0) & (slots.len_b > 0)
+        slots.equal = slots.both & (slots.vid_a == slots.vid_b)
+        slots.lookup = slots.both & ~slots.equal
+        return slots
 
     # -- string-edit memo ----------------------------------------------------
 
-    def _memo_lookup(self, key: Tuple[int, int]) -> Optional[float]:
-        """Memoized similarity for a value-id pair, or None.
-
-        Checks the new generation, then the old one; an old-generation hit
-        is promoted so another rotation cannot evict a still-hot pair.
-        """
-        cached = self._string_sim_new.get(key)
-        if cached is None:
-            cached = self._string_sim_old.pop(key, None)
-            if cached is not None:
-                self._memo_insert(key, cached)
-        if cached is None:
-            self._memo_misses += 1
-        else:
-            self._memo_hits += 1
-        return cached
-
-    def _memo_insert(self, key: Tuple[int, int], value: float) -> None:
+    def _memo_insert(self, key: int, value: float) -> None:
         """Insert into the new generation, rotating generations at the limit."""
         if len(self._string_sim_new) >= self._memo_limit:
             self._string_sim_old = self._string_sim_new
             self._string_sim_new = {}
         self._string_sim_new[key] = value
 
-    def _string_sim(self, vid_a: int, vid_b: int) -> float:
-        """``max(levenshtein_ratio, jaro_winkler)`` memoized per value pair.
+    def _string_sims(self, vid_a: np.ndarray, vid_b: np.ndarray) -> np.ndarray:
+        """``max(levenshtein_ratio, jaro_winkler)`` per unequal value-id pair.
 
-        Equal ids short-circuit to 1.0 — exactly what both string measures
-        return for equal strings, so the shortcut is bit-identical.  Batch
-        featurization prefills the memo through the stredit engine
-        (:meth:`_prefill_string_sims`), so this scalar fallback only runs
-        for lookups outside a prefetched batch.
+        Each distinct pair is looked up once, in the new generation, then
+        the old one (promoting on hit); the misses are computed together —
+        through the stredit engine, whose floats are bit-identical to the
+        scalar oracle, unless it is disabled — and memoized.
         """
-        if vid_a == vid_b:
-            return 1.0
-        key = (vid_a, vid_b)
-        cached = self._memo_lookup(key)
-        if cached is None:
-            value_a = self._values.string(vid_a)
-            value_b = self._values.string(vid_b)
-            cached = max(
-                levenshtein_ratio(value_a, value_b), jaro_winkler(value_a, value_b)
-            )
-            self._memo_insert(key, cached)
-        return cached
+        n_lookups = vid_a.shape[0]
+        if n_lookups == 0:
+            return np.zeros(0, dtype=np.float64)
+        unique, inverse = np.unique((vid_a << 32) | vid_b, return_inverse=True)
+        values: List[float] = []
+        missing: List[int] = []
+        promoted: List[int] = []
+        fresh, old = self._string_sim_new, self._string_sim_old
+        for key in unique.tolist():
+            value = fresh.get(key)
+            if value is None:
+                value = old.pop(key, None)
+                if value is None:
+                    missing.append(len(values))
+                    value = 0.0
+                else:
+                    promoted.append(len(values))
+            values.append(value)
+        keys = unique.tolist()
+        for slot in promoted:
+            self._memo_insert(keys[slot], values[slot])
+        if missing:
+            string = self._values.string
+            strings = [
+                (string(keys[slot] >> 32), string(keys[slot] & _LOW32))
+                for slot in missing
+            ]
+            if self._use_stredit:
+                computed = batch_string_sim(strings)
+            else:
+                computed = [
+                    max(levenshtein_ratio(a, b), jaro_winkler(a, b))
+                    for a, b in strings
+                ]
+            for slot, value in zip(missing, computed):
+                values[slot] = value
+                self._memo_insert(keys[slot], value)
+        self._memo_misses += len(missing)
+        self._memo_hits += n_lookups - len(missing)
+        return np.asarray(values, dtype=np.float64)[inverse]
 
-    def _prefill_string_sims(
-        self,
-        data_a: Sequence["RecordTokenData"],
-        data_b: Sequence["RecordTokenData"],
-    ) -> None:
-        """Batch-compute the memo-miss set of unique value pairs.
+    def value_pairs(
+        self, records_by_id: Dict[str, Record], pairs: Sequence[Pair]
+    ) -> List[Tuple[str, str]]:
+        """The distinct unequal value pairs featurizing ``pairs`` looks up
+        in the string-sim memo, in first-lookup order (the stredit engine's
+        workload on a cold memo)."""
+        rows_a, rows_b = self._rows_for(records_by_id, pairs)
+        if rows_a.shape[0] == 0:
+            return []
+        slots = self._shared_slots(rows_a, rows_b)
+        keys = (slots.vid_a[slots.lookup] << 32) | slots.vid_b[slots.lookup]
+        _, first = np.unique(keys, return_index=True)
+        string = self._values.string
+        return [
+            (string(key >> 32), string(key & _LOW32))
+            for key in keys[np.sort(first)].tolist()
+        ]
 
-        Walks the same shared-attribute loops row assembly is about to run,
-        collects every value-id pair the memo cannot answer, and computes
-        them in one :func:`repro.entity.stredit.batch_string_sim` call —
-        trimmed, banded, bit-parallel and vectorized instead of one scalar
-        DP per pair.  The engine's floats are bit-identical to the scalar
-        oracle, so rows assembled from the prefilled memo are unchanged.
+    # -- columnar features ---------------------------------------------------
+
+    def _batch_tokens(
+        self, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The token ids and counts of a batch's distinct records, concatenated.
+
+        Returns ``(local, uids, counts, sizes)``: record ``k``'s run of
+        ``sizes[k]`` ids, and pair ``i``'s two records are ``local[i]`` and
+        ``local[n_pairs + i]``.
         """
-        wanted: Dict[Tuple[int, int], Tuple[str, str]] = {}
-        for row_a, row_b in zip(data_a, data_b):
-            shared = row_a.attrs & row_b.attrs
-            if not shared:
-                continue
-            table_a, table_b = row_a.attr_table, row_b.attr_table
-            for attr in shared:
-                vid_a, len_a, _ = table_a[attr]
-                vid_b, len_b, _ = table_b[attr]
-                if not len_a or not len_b or vid_a == vid_b:
-                    continue
-                key = (vid_a, vid_b)
-                if key in wanted or self._memo_lookup(key) is not None:
-                    continue
-                wanted[key] = (
-                    self._values.string(vid_a),
-                    self._values.string(vid_b),
-                )
-        if not wanted:
-            return
-        keys = list(wanted)
-        similarities = batch_string_sim([wanted[key] for key in keys])
-        for key, similarity in zip(keys, similarities):
-            self._memo_insert(key, similarity)
-
-    # -- columnar token features ---------------------------------------------
+        unique, local = np.unique(np.concatenate([rows_a, rows_b]), return_inverse=True)
+        members = unique.tolist()
+        return (
+            local,
+            np.concatenate([self._uids[row] for row in members]),
+            np.concatenate([self._counts[row] for row in members]),
+            self._n_distinct[unique],
+        )
 
     def _token_columns(
-        self,
-        data_a: Sequence[RecordTokenData],
-        data_b: Sequence[RecordTokenData],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(jaccard, cosine, intersection, distinct-pair-min) per pair.
+        self, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(jaccard, cosine)`` per pair.
 
-        One stable sort over the concatenated per-pair token streams finds
-        every intersection: within one pair each side's ids are unique, so a
+        One sort over the concatenated per-pair token streams finds every
+        intersection: within one pair each side's ids are unique, so a
         token shared by both sides appears exactly twice, adjacently, in the
         sorted stream.  All intersection counts and count-products are small
         integers — exact in float64 — so the final divisions see exactly the
         operands the scalar path divides.
         """
-        n_pairs = len(data_a)
-        if n_pairs == 0:
-            empty = np.zeros(0, dtype=float)
-            return empty, empty, empty.astype(np.int64), empty.astype(np.int64)
-        distinct_a = np.fromiter(
-            (d.n_distinct for d in data_a), dtype=np.int64, count=n_pairs
+        n_pairs = rows_a.shape[0]
+        local, uids, counts, sizes = self._batch_tokens(rows_a, rows_b)
+        gather, pair_index = _pair_streams(local, sizes, sizes)
+        keys = pair_index * np.int64(len(self.vocabulary)) + uids[gather]
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        sorted_counts = counts[gather][order]
+        duplicate = sorted_keys[1:] == sorted_keys[:-1]
+        dup_pairs = pair_index[order][1:][duplicate]
+        intersection = np.bincount(dup_pairs, minlength=n_pairs)
+        products = (sorted_counts[1:] * sorted_counts[:-1])[duplicate]
+        dot = np.bincount(
+            dup_pairs, weights=products.astype(np.float64), minlength=n_pairs
         )
-        distinct_b = np.fromiter(
-            (d.n_distinct for d in data_b), dtype=np.int64, count=n_pairs
-        )
-        arrays: List[np.ndarray] = [d.uids for d in data_a]
-        arrays.extend(d.uids for d in data_b)
-        count_arrays: List[np.ndarray] = [d.counts for d in data_a]
-        count_arrays.extend(d.counts for d in data_b)
-        sizes = np.concatenate([distinct_a, distinct_b])
-        pair_index = np.repeat(
-            np.concatenate([np.arange(n_pairs), np.arange(n_pairs)]), sizes
-        )
-        tokens = (
-            np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
-        )
-        counts = (
-            np.concatenate(count_arrays)
-            if count_arrays
-            else np.zeros(0, dtype=np.int64)
-        )
-        if tokens.shape[0]:
-            vocab_size = np.int64(len(self.vocabulary))
-            keys = pair_index * vocab_size + tokens
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            sorted_counts = counts[order]
-            duplicate = sorted_keys[1:] == sorted_keys[:-1]
-            dup_pairs = pair_index[order][1:][duplicate]
-            intersection = np.bincount(dup_pairs, minlength=n_pairs).astype(np.int64)
-            products = (sorted_counts[1:] * sorted_counts[:-1])[duplicate]
-            dot = np.bincount(
-                dup_pairs, weights=products.astype(np.float64), minlength=n_pairs
-            )
-        else:
-            intersection = np.zeros(n_pairs, dtype=np.int64)
-            dot = np.zeros(n_pairs, dtype=np.float64)
 
+        distinct_a, distinct_b = self._n_distinct[rows_a], self._n_distinct[rows_b]
         union = distinct_a + distinct_b - intersection
-        jaccard = np.empty(n_pairs, dtype=np.float64)
-        nonempty_union = union > 0
         # jaccard_similarity's empty-set convention: both empty -> 1.0
-        jaccard[~nonempty_union] = 1.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            jaccard[nonempty_union] = (
-                intersection[nonempty_union] / union[nonempty_union]
-            )
+        jaccard = np.where(union > 0, _ratio(intersection, union), 1.0)
 
-        norms_a = np.fromiter((d.norm for d in data_a), dtype=np.float64, count=n_pairs)
-        norms_b = np.fromiter((d.norm for d in data_b), dtype=np.float64, count=n_pairs)
-        tokens_a = np.fromiter(
-            (d.n_tokens for d in data_a), dtype=np.int64, count=n_pairs
-        )
-        tokens_b = np.fromiter(
-            (d.n_tokens for d in data_b), dtype=np.int64, count=n_pairs
-        )
         cosine = np.zeros(n_pairs, dtype=np.float64)
-        populated = (tokens_a > 0) & (tokens_b > 0)
+        populated = (self._n_tokens[rows_a] > 0) & (self._n_tokens[rows_b] > 0)
         # same op order as the scalar path: dot / (norm_a * norm_b)
-        cosine[populated] = dot[populated] / (norms_a[populated] * norms_b[populated])
+        cosine[populated] = dot[populated] / (
+            self._norm[rows_a][populated] * self._norm[rows_b][populated]
+        )
+        return jaccard, cosine
 
-        return jaccard, cosine, intersection, np.minimum(distinct_a, distinct_b)
-
-    @staticmethod
     def _length_ratio_column(
-        data_a: Sequence[RecordTokenData], data_b: Sequence[RecordTokenData]
+        self, rows_a: np.ndarray, rows_b: np.ndarray
     ) -> np.ndarray:
-        n_pairs = len(data_a)
-        len_a = np.fromiter((d.blob_len for d in data_a), dtype=np.int64, count=n_pairs)
-        len_b = np.fromiter((d.blob_len for d in data_b), dtype=np.int64, count=n_pairs)
+        len_a, len_b = self._blob_len[rows_a], self._blob_len[rows_b]
         low = np.minimum(len_a, len_b)
         high = np.maximum(len_a, len_b)
-        ratio = np.empty(n_pairs, dtype=np.float64)
-        both_zero = high == 0
-        one_zero = (low == 0) & ~both_zero
-        rest = ~both_zero & ~one_zero
-        ratio[both_zero] = 1.0
-        ratio[one_zero] = 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio[rest] = low[rest] / high[rest]
+        # both empty -> 1.0, one empty -> 0.0, else min/max
+        ratio = _ratio(low, high)
+        ratio[high == 0] = 1.0
         return ratio
 
-    # -- per-pair attribute features ------------------------------------------
-
-    def _attribute_features(
-        self, data_a: RecordTokenData, data_b: RecordTokenData
-    ) -> Tuple[float, float, float, float, float]:
-        """(shared_ratio, exact_fraction, mean_sim, max_sim, numeric) for one pair.
-
-        Mirrors the scalar per-attribute loop exactly, but over interned
-        data: value equality is id comparison, string-edit scores come from
-        the memo, numeric conversions were hoisted to interning time.
-        """
-        attrs_a, attrs_b = data_a.attrs, data_b.attrs
-        shared = attrs_a & attrs_b
-        union_size = len(attrs_a) + len(attrs_b) - len(shared)
-        shared_ratio = len(shared) / union_size if union_size else 0.0
-
-        exact_matches = 0
-        string_sims: List[float] = []
-        numeric_sims: List[float] = []
-        table_a, table_b = data_a.attr_table, data_b.attr_table
-        for attr in shared:
-            vid_a, len_a, num_a = table_a[attr]
-            vid_b, len_b, num_b = table_b[attr]
-            if len_a and vid_a == vid_b:
-                exact_matches += 1
-            if len_a and len_b:
-                string_sims.append(self._string_sim(vid_a, vid_b))
-            if num_a is not None and num_b is not None:
-                denom = max(abs(num_a), abs(num_b))
-                numeric_sims.append(
-                    1.0 if denom == 0 else max(0.0, 1.0 - abs(num_a - num_b) / denom)
-                )
-        exact_fraction = exact_matches / len(shared) if shared else 0.0
-        mean_sim = float(np.mean(string_sims)) if string_sims else 0.0
-        max_sim = float(np.max(string_sims)) if string_sims else 0.0
-        numeric = float(np.mean(numeric_sims)) if numeric_sims else 0.0
-        return shared_ratio, exact_fraction, mean_sim, max_sim, numeric
-
-    def _string_similarity_features(
-        self, data_a: RecordTokenData, data_b: RecordTokenData
-    ) -> Tuple[float, float]:
-        """(mean_sim, max_sim) alone — for rows whose cheap features came
-        from the candidate filter's stash.
-
-        ``shared`` is built exactly as :meth:`_attribute_features` builds
-        it, so the similarity list's ``np.mean`` summation order (and
-        therefore every bit of the result) matches the full loop.
-        """
-        shared = data_a.attrs & data_b.attrs
-        string_sims: List[float] = []
-        table_a, table_b = data_a.attr_table, data_b.attr_table
-        for attr in shared:
-            vid_a, len_a, _ = table_a[attr]
-            vid_b, len_b, _ = table_b[attr]
-            if len_a and len_b:
-                string_sims.append(self._string_sim(vid_a, vid_b))
-        mean_sim = float(np.mean(string_sims)) if string_sims else 0.0
-        max_sim = float(np.max(string_sims)) if string_sims else 0.0
-        return mean_sim, max_sim
+    def _string_columns(self, slots: _SharedSlots) -> Tuple[np.ndarray, np.ndarray]:
+        """``(mean_string_similarity, max_string_similarity)`` per pair."""
+        sims = np.where(slots.equal, 1.0, 0.0)
+        sims[slots.lookup] = self._string_sims(
+            slots.vid_a[slots.lookup], slots.vid_b[slots.lookup]
+        )
+        return _row_means(sims, slots.both), np.max(sims, axis=1, initial=0.0)
 
     # -- public featurization --------------------------------------------------
 
     def features_for_record_pairs(
         self, pairs: Sequence[Tuple[Record, Record]]
     ) -> np.ndarray:
-        """Feature matrix for record-object pairs (one row per pair)."""
-        data_a = [self.intern(a) for a, _ in pairs]
-        data_b = [self.intern(b) for _, b in pairs]
-        return self._assemble(data_a, data_b)
+        """Feature matrix for record-object pairs (one row per pair).
+
+        Each distinct record object is interned once; two objects sharing an
+        id but not content get separate rows for the whole batch.
+        """
+        self._epoch += 1
+        row_of: Dict[int, int] = {}
+        for pair in pairs:
+            for record in pair:
+                if id(record) not in row_of:
+                    row_of[id(record)] = self.intern(record)
+        rows_a = np.array([row_of[id(a)] for a, _ in pairs], dtype=np.int64)
+        rows_b = np.array([row_of[id(b)] for _, b in pairs], dtype=np.int64)
+        return self._assemble(rows_a, rows_b)
 
     def features_for_pairs(
         self,
@@ -657,146 +867,41 @@ class ScoringKernel:
         pairs: Sequence[Pair],
     ) -> np.ndarray:
         """Feature matrix for record-id pairs (one row per pair, in order)."""
-        data_a = [self.intern(records_by_id[a]) for a, _ in pairs]
-        data_b = [self.intern(records_by_id[b]) for _, b in pairs]
-        return self._assemble(data_a, data_b, pairs=pairs)
+        return self._assemble(*self._rows_for(records_by_id, pairs))
 
-    def _assemble(
-        self,
-        data_a: Sequence[RecordTokenData],
-        data_b: Sequence[RecordTokenData],
-        pairs: Optional[Sequence[Pair]] = None,
-    ) -> np.ndarray:
-        n_pairs = len(data_a)
-        out = np.zeros((n_pairs, len(FEATURE_NAMES)), dtype=float)
-        if n_pairs == 0:
+    def _assemble(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        out = np.zeros((rows_a.shape[0], len(FEATURE_NAMES)), dtype=float)
+        if rows_a.shape[0] == 0:
             return out
-        if self._use_stredit:
-            self._prefill_string_sims(data_a, data_b)
-
-        # rows whose cheap columns the candidate filter already computed
-        # skip the columnar token/length pass entirely — only the two
-        # string-edit features remain.  Every per-pair value in
-        # _token_columns/_length_ratio_column is independent of which other
-        # pairs share the batch, so the split assembly is bit-identical.
-        stashed: Dict[int, tuple] = {}
-        fresh_rows: List[int] = list(range(n_pairs))
-        if pairs is not None and self._cheap_stash:
-            fresh_rows = []
-            for row, pair in enumerate(pairs):
-                entry = self._cheap_stash.pop(pair, None)
-                if (
-                    entry is not None
-                    and entry[0] is data_a[row]
-                    and entry[1] is data_b[row]
-                ):
-                    stashed[row] = entry
-                else:
-                    fresh_rows.append(row)
-
-        if fresh_rows:
-            sub_a = [data_a[row] for row in fresh_rows]
-            sub_b = [data_b[row] for row in fresh_rows]
-            jaccard, cosine, _, _ = self._token_columns(sub_a, sub_b)
-            length_ratio = self._length_ratio_column(sub_a, sub_b)
-            for slot, row in enumerate(fresh_rows):
-                out[row, 0] = jaccard[slot]
-                out[row, 1] = cosine[slot]
-                out[row, 7] = length_ratio[slot]
-                (
-                    shared,
-                    exact,
-                    mean_sim,
-                    max_sim,
-                    numeric,
-                ) = self._attribute_features(data_a[row], data_b[row])
-                out[row, 2] = shared
-                out[row, 3] = exact
-                out[row, 4] = mean_sim
-                out[row, 5] = max_sim
-                out[row, 6] = numeric
-
-        for row, entry in stashed.items():
-            _, _, jaccard_v, cosine_v, shared, exact, numeric, ratio = entry
-            out[row, 0] = jaccard_v
-            out[row, 1] = cosine_v
-            out[row, 2] = shared
-            out[row, 3] = exact
-            out[row, 6] = numeric
-            out[row, 7] = ratio
-            mean_sim, max_sim = self._string_similarity_features(
-                data_a[row], data_b[row]
-            )
-            out[row, 4] = mean_sim
-            out[row, 5] = max_sim
+        out[:, 0], out[:, 1] = self._token_columns(rows_a, rows_b)
+        slots = self._shared_slots(rows_a, rows_b)
+        out[:, 2], out[:, 3], out[:, 6] = slots.cheap_columns()
+        out[:, 4], out[:, 5] = self._string_columns(slots)
+        out[:, 7] = self._length_ratio_column(rows_a, rows_b)
         return out
+
+    def _prefixes_overlap(
+        self, rows_a: np.ndarray, rows_b: np.ndarray, threshold: float
+    ) -> np.ndarray:
+        """Whether each pair's token prefixes share a token.
+
+        A record's prefix is its first ``d - ceil(threshold * d) + 1``
+        distinct tokens in lexicographic order (``d`` >= 1 distinct tokens).
+        """
+        ranks = self.vocabulary.lex_ranks()
+        local, uids, _, sizes = self._batch_tokens(rows_a, rows_b)
+        owner = np.repeat(np.arange(sizes.shape[0]), sizes)
+        uids = uids[np.lexsort((ranks[uids], owner))]
+        keep = sizes - np.ceil(threshold * sizes).astype(np.int64) + 1
+        gather, pair_index = _pair_streams(local, sizes, keep)
+        vocab_size = np.int64(len(self.vocabulary))
+        keys = np.sort(pair_index * vocab_size + uids[gather])
+        overlap = np.zeros(rows_a.shape[0], dtype=bool)
+        overlap[keys[1:][keys[1:] == keys[:-1]] // vocab_size] = True
+        return overlap
 
 
 # -- candidate filtering ------------------------------------------------------
-
-
-def _filter_attribute_features(
-    data_a: RecordTokenData, data_b: RecordTokenData
-) -> Tuple[float, float, float, float, float, float, float]:
-    """One cheap pass over the shared attributes for the candidate filter.
-
-    Returns ``(shared_ratio, exact_fraction, numeric_closeness, mean_lb,
-    mean_ub, max_lb, max_ub)``: the first three are the *exact* feature
-    values (no edit distances involved), the last four bound the two
-    string-edit features soundly:
-
-    * equal value ids pin the similarity to exactly 1.0;
-    * unequal values admit ``levenshtein_ratio <= 1 - max(1, |la-lb|)/max``
-      (edit distance is at least the length difference, and at least 1 for
-      distinct strings) and ``jaro_winkler <= 0.4 + 0.6*(2 + min/max)/3``
-      (matches are bounded by the shorter string, the Winkler prefix boost
-      is capped at 4 characters).
-
-    Both bounds are monotone consequences of the implementations in
-    :mod:`repro.schema.matchers`; correctly-rounded float division keeps the
-    monotonicity, and the caller adds a margin before pruning.
-    """
-    attrs_a, attrs_b = data_a.attrs, data_b.attrs
-    shared = attrs_a & attrs_b
-    union_size = len(attrs_a) + len(attrs_b) - len(shared)
-    shared_ratio = len(shared) / union_size if union_size else 0.0
-
-    bounds: List[float] = []
-    numeric_sims: List[float] = []
-    n_equal = 0
-    exact_matches = 0
-    table_a, table_b = data_a.attr_table, data_b.attr_table
-    for attr in shared:
-        vid_a, len_a, num_a = table_a[attr]
-        vid_b, len_b, num_b = table_b[attr]
-        if len_a and vid_a == vid_b:
-            exact_matches += 1
-        if num_a is not None and num_b is not None:
-            denom = max(abs(num_a), abs(num_b))
-            numeric_sims.append(
-                1.0 if denom == 0 else max(0.0, 1.0 - abs(num_a - num_b) / denom)
-            )
-        if not (len_a and len_b):
-            continue
-        if vid_a == vid_b:
-            n_equal += 1
-            bounds.append(1.0)
-            continue
-        longest = len_a if len_a >= len_b else len_b
-        shortest = len_a + len_b - longest
-        lev_ub = 1.0 - max(1, longest - shortest) / longest
-        jw_ub = 0.4 + 0.6 * (2.0 + shortest / longest) / 3.0
-        ub = lev_ub if lev_ub >= jw_ub else jw_ub
-        bounds.append(ub if ub <= 1.0 else 1.0)
-    exact_fraction = exact_matches / len(shared) if shared else 0.0
-    numeric = float(np.mean(numeric_sims)) if numeric_sims else 0.0
-    if not bounds:
-        return shared_ratio, exact_fraction, numeric, 0.0, 0.0, 0.0, 0.0
-    mean_ub = float(np.mean(bounds))
-    mean_lb = n_equal / len(bounds)
-    max_ub = max(bounds)
-    max_lb = 1.0 if n_equal else 0.0
-    return shared_ratio, exact_fraction, numeric, mean_lb, mean_ub, max_lb, max_ub
 
 
 class FilterStats:
@@ -840,14 +945,14 @@ class CandidateFilter:
        ``d - ceil(t*.d) + 1``.
     2. **Linear score bound.**  ``z`` is bounded above using the *exact*
        values of the six cheap features (token, attribute-overlap, numeric
-       and length features — the kernel computes them columnar anyway) and
-       sound interval bounds for the two string-edit features; pairs whose
-       bound stays below ``z_req`` by :data:`_PRUNE_MARGIN` are pruned.
+       and length features) and sound interval bounds for the two
+       string-edit features; pairs whose bound stays below ``z_req`` by
+       :data:`_PRUNE_MARGIN` are pruned.
 
-    Pruned pairs are exactly pairs the classifier would score below its
-    threshold, so the matched-pair set — and everything downstream
-    (clusters, entities, end-to-end recall) — is bit-identical with the
-    filter on or off.
+    Both run as array operations over the whole batch.  Pruned pairs are
+    exactly pairs the classifier would score below its threshold, so the
+    matched-pair set — and everything downstream (clusters, entities,
+    end-to-end recall) — is bit-identical with the filter on or off.
     """
 
     def __init__(
@@ -917,57 +1022,46 @@ class CandidateFilter:
                 slack -= w  # feature at its maximum, 1.0
         return slack / w_jac
 
-    # -- length + prefix filters ----------------------------------------------
-
     def _prefix_survivors(
-        self,
-        kernel: ScoringKernel,
-        data_a: List[RecordTokenData],
-        data_b: List[RecordTokenData],
-        stats: FilterStats,
-    ) -> Tuple[List[int], List[int]]:
-        """(surviving, pruned) pair indices under the length/prefix filters."""
+        self, kernel: ScoringKernel, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> np.ndarray:
+        """Mask of the pairs the length/prefix filters keep."""
         threshold = self._min_jaccard
         if threshold <= 0.0:
-            return list(range(len(data_a))), []
-        survivors: List[int] = []
-        rejected: List[int] = []
-        ranks = kernel.vocabulary.lex_ranks()
-        prefix_cache: Dict[int, Set[int]] = {}
+            return np.ones(rows_a.shape[0], dtype=bool)
+        distinct_a, distinct_b = kernel._n_distinct[rows_a], kernel._n_distinct[rows_b]
+        low = np.minimum(distinct_a, distinct_b)
+        high = np.maximum(distinct_a, distinct_b)
+        empty = high == 0
+        # both token sets empty: jaccard is exactly 1.0 by convention
+        keep = np.where(empty, threshold <= 1.0, ~(_ratio(low, high) < threshold))
+        check = np.flatnonzero(keep & ~empty)
+        if check.shape[0]:
+            keep[check] = kernel._prefixes_overlap(
+                rows_a[check], rows_b[check], threshold
+            )
+        return keep
 
-        def prefix_of(data: RecordTokenData) -> Set[int]:
-            cached = prefix_cache.get(id(data))
-            if cached is None:
-                n_distinct = data.n_distinct
-                keep = n_distinct - math.ceil(threshold * n_distinct) + 1
-                ordered = data.uids[np.argsort(ranks[data.uids], kind="stable")]
-                cached = set(int(uid) for uid in ordered[:keep])
-                prefix_cache[id(data)] = cached
-            return cached
-
-        for row, (da, db) in enumerate(zip(data_a, data_b)):
-            low = min(da.n_distinct, db.n_distinct)
-            high = max(da.n_distinct, db.n_distinct)
-            if high == 0:
-                # both token sets empty: jaccard is exactly 1.0 by convention
-                if threshold > 1.0:
-                    stats.pruned_by_prefix += 1
-                    rejected.append(row)
-                    continue
-                survivors.append(row)
-                continue
-            if low / high < threshold:
-                stats.pruned_by_prefix += 1
-                rejected.append(row)
-                continue
-            if not prefix_of(da) & prefix_of(db):
-                stats.pruned_by_prefix += 1
-                rejected.append(row)
-                continue
-            survivors.append(row)
-        return survivors, rejected
-
-    # -- the linear score bound -------------------------------------------------
+    def _bound_scores(
+        self, kernel: ScoringKernel, rows_a: np.ndarray, rows_b: np.ndarray
+    ) -> np.ndarray:
+        """Upper bound on the linear score ``z`` of each pair."""
+        if rows_a.shape[0] == 0:
+            return np.zeros(0, dtype=np.float64)
+        jaccard, cosine = kernel._token_columns(rows_a, rows_b)
+        slots = kernel._shared_slots(rows_a, rows_b)
+        shared, exact, numeric = slots.cheap_columns()
+        mean_lb, mean_ub, max_lb, max_ub = slots.string_bounds()
+        w = self._weights
+        # the feature-by-feature accumulation order of the scalar bound
+        z = self._bias + w[self._i_jac] * jaccard
+        z = z + w[self._i_cos] * cosine
+        z = z + w[self._i_shared] * shared
+        z = z + w[self._i_exact] * exact
+        z = z + w[self._i_mean] * (mean_ub if w[self._i_mean] > 0 else mean_lb)
+        z = z + w[self._i_max] * (max_ub if w[self._i_max] > 0 else max_lb)
+        z = z + w[self._i_num] * numeric
+        return z + w[self._i_len] * kernel._length_ratio_column(rows_a, rows_b)
 
     def split(
         self,
@@ -985,64 +1079,16 @@ class CandidateFilter:
         stats.examined = len(pairs)
         if not pairs:
             return [], set(), stats
-        data_a = [kernel.intern(records_by_id[a]) for a, _ in pairs]
-        data_b = [kernel.intern(records_by_id[b]) for _, b in pairs]
-
-        candidate_rows, rejected_rows = self._prefix_survivors(
-            kernel, data_a, data_b, stats
-        )
-        pruned: Set[Pair] = {pairs[row] for row in rejected_rows}
-        if not candidate_rows:
-            return [], pruned, stats
-
-        sub_a = [data_a[row] for row in candidate_rows]
-        sub_b = [data_b[row] for row in candidate_rows]
-        jaccard, cosine, _, _ = kernel._token_columns(sub_a, sub_b)
-        length_ratio = kernel._length_ratio_column(sub_a, sub_b)
-
-        w = self._weights
-        z_cut = self._z_required - _PRUNE_MARGIN
-        survivors: List[Pair] = []
-        for slot, row in enumerate(candidate_rows):
-            da, db = data_a[row], data_b[row]
-            (
-                shared,
-                exact,
-                numeric,
-                mean_lb,
-                mean_ub,
-                max_lb,
-                max_ub,
-            ) = _filter_attribute_features(da, db)
-            z = (
-                self._bias
-                + w[self._i_jac] * float(jaccard[slot])
-                + w[self._i_cos] * float(cosine[slot])
-                + w[self._i_shared] * shared
-                + w[self._i_exact] * exact
-                + w[self._i_mean] * (mean_ub if w[self._i_mean] > 0 else mean_lb)
-                + w[self._i_max] * (max_ub if w[self._i_max] > 0 else max_lb)
-                + w[self._i_num] * numeric
-                + w[self._i_len] * float(length_ratio[slot])
-            )
-            if z < z_cut:
-                stats.pruned_by_bound += 1
-                pruned.add(pairs[row])
-            else:
-                survivors.append(pairs[row])
-                # the six cheap features above are *exact* — bank them so
-                # the survivor's featurization skips recomputing them
-                kernel.stash_cheap_features(
-                    pairs[row],
-                    da,
-                    db,
-                    float(jaccard[slot]),
-                    float(cosine[slot]),
-                    shared,
-                    exact,
-                    numeric,
-                    float(length_ratio[slot]),
-                )
+        rows_a, rows_b = kernel._rows_for(records_by_id, pairs)
+        candidates = np.flatnonzero(self._prefix_survivors(kernel, rows_a, rows_b))
+        stats.pruned_by_prefix = len(pairs) - candidates.shape[0]
+        z = self._bound_scores(kernel, rows_a[candidates], rows_b[candidates])
+        below = z < self._z_required - _PRUNE_MARGIN
+        stats.pruned_by_bound = int(below.sum())
+        survive = np.zeros(len(pairs), dtype=bool)
+        survive[candidates[~below]] = True
+        survivors = [pairs[i] for i in np.flatnonzero(survive).tolist()]
+        pruned = {pairs[i] for i in np.flatnonzero(~survive).tolist()}
         return survivors, pruned, stats
 
     def as_pair_filter(

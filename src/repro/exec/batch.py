@@ -193,10 +193,7 @@ class BatchScorer:
         if self._executor.uses_persistent_pool and self._executor.warm_state:
             # warm path: ship record deltas once through the pool's sync
             # protocol, then send only the pair ids per chunk — the workers'
-            # long-lived kernels do pure columnar scoring.  The local
-            # kernel's filter stash is useless here (workers featurize with
-            # their own kernels), so drop it rather than let it go stale.
-            self._kernel.clear_cheap_stash()
+            # long-lived kernels do pure columnar scoring
             pool = self._executor.ensure_pool()
             wanted = {record_id for pair in pairs for record_id in pair}
             # a queued delete whose id is referenced again is a re-insert:
@@ -222,9 +219,7 @@ class BatchScorer:
             return results
         if self._executor.backend == "process":
             # ship each chunk only the records it references so the pickled
-            # payload stays bounded by batch_size, not corpus size (chunk
-            # workers build fresh kernels: the local filter stash is moot)
-            self._kernel.clear_cheap_stash()
+            # payload stays bounded by batch_size, not corpus size
             payloads = []
             for chunk in chunks:
                 wanted = {record_id for pair in chunk for record_id in pair}

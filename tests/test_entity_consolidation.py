@@ -1,12 +1,20 @@
 """Tests for repro.entity.consolidation."""
 
+import time
+
 import pytest
 
+from repro import DataTamer, TamerConfig
 from repro.config import EntityConfig
-from repro.entity.consolidation import EntityConsolidator, MergePolicy
+from repro.entity.consolidation import (
+    CONSOLIDATION_STAGES,
+    EntityConsolidator,
+    MergePolicy,
+)
 from repro.entity.dedup import DedupModel, LabeledPair
 from repro.entity.record import Record
 from repro.errors import EntityResolutionError
+from repro.obs import TelemetryHub
 
 
 def _record(rid, name, extra=None, source="s"):
@@ -131,3 +139,56 @@ class TestMergePolicies:
     def test_first_policy(self, trained_model):
         entity = self._consolidate_with(trained_model, MergePolicy.FIRST)
         assert entity.attributes["venue"] == "Shubert Theatre"
+
+
+class TestStageSeconds:
+    def test_stages_fit_inside_the_run(self, trained_model, duplicate_records):
+        consolidator = EntityConsolidator(trained_model, key_attribute="name")
+        begin = time.perf_counter()
+        consolidator.consolidate(duplicate_records)
+        wall = time.perf_counter() - begin
+        report = consolidator.last_report
+        stages = report.stage_seconds
+        assert tuple(stages) == CONSOLIDATION_STAGES
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        assert sum(stages.values()) <= wall
+        # the linear model's candidate filter ran inside blocking
+        assert stages["filter"] > 0.0
+        # a measurement, not an outcome: reports still compare by content
+        assert "stage_seconds" not in report.as_dict()
+
+    def test_filter_stage_is_zero_when_filtering_is_off(
+        self, trained_model, duplicate_records
+    ):
+        consolidator = EntityConsolidator(
+            trained_model,
+            config=EntityConfig(candidate_filtering=False),
+            key_attribute="name",
+        )
+        consolidator.consolidate(duplicate_records)
+        assert consolidator.last_report.stage_seconds["filter"] == 0.0
+
+    def test_stages_recorded_in_the_hub(self, trained_model, duplicate_records):
+        hub = TelemetryHub()
+        consolidator = EntityConsolidator(
+            trained_model, key_attribute="name", hub=hub
+        )
+        consolidator.consolidate(duplicate_records)
+        consolidator.consolidate(duplicate_records)
+        series = hub.registry.snapshot()["entity_stage_seconds"]["series"]
+        counts = {row["labels"]["stage"]: row["count"] for row in series}
+        assert counts == dict.fromkeys(CONSOLIDATION_STAGES, 2)
+
+    def test_data_tamer_hands_its_hub_over(self, trained_model):
+        tamer = DataTamer(TamerConfig.small())
+        try:
+            tamer.set_dedup_model(trained_model)
+            tamer.ingest_structured_records(
+                "shows",
+                [{"show_name": "Matilda", "price": 27}, {"show_name": "matilda"}],
+            )
+            tamer.consolidate_curated()
+            metrics = tamer.hub.registry.snapshot()
+            assert "entity_stage_seconds" in metrics
+        finally:
+            tamer.close()

@@ -18,6 +18,8 @@ Two guarantees are enforced here, both **exact** (no tolerances):
 import math
 import random
 import string
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +82,11 @@ def _scalar_matrix(by_id, pairs, compare=None):
     return np.vstack(
         [pair_features(by_id[a], by_id[b], compare) for a, b in pairs]
     )
+
+
+def _memo_key(vid_a, vid_b):
+    """The string-sim memo's key for a value-id pair."""
+    return (vid_a << 32) | vid_b
 
 
 class TestKernelBitEquivalence:
@@ -539,8 +546,8 @@ class TestTokenVocabulary:
 
 
 class TestCheapFeatureStash:
-    """The filter's already-computed cheap columns are threaded through to
-    featurization for survivors — and the rows stay bit-identical."""
+    """Survivors are featurized from the row tables the filter filled, with
+    no per-pair hand-off — and the rows stay bit-identical."""
 
     @pytest.fixture(scope="class")
     def model(self):
@@ -560,9 +567,10 @@ class TestCheapFeatureStash:
         kernel = ScoringKernel()
         survivors, pruned, _ = candidate_filter.split(kernel, by_id, pairs)
         assert survivors and pruned  # both paths exercised
-        assert kernel.cheap_stash_size == len(survivors)
+        assert kernel.cached_records == len(records)
+        rows_after_split = kernel.table_rows
         assisted = kernel.features_for_pairs(by_id, survivors)
-        assert kernel.cheap_stash_size == 0  # consumed
+        assert kernel.table_rows == rows_after_split  # the filter's rows reused
 
         fresh = ScoringKernel().features_for_pairs(by_id, survivors)
         assert np.array_equal(assisted, fresh)
@@ -579,8 +587,8 @@ class TestCheapFeatureStash:
         kernel = ScoringKernel()
         survivors, _, _ = candidate_filter.split(kernel, by_id, pairs)
         assert survivors
-        # change one record behind the filter's back: its stash entries
-        # must be ignored (identity validation), not served stale
+        # change one record behind the filter's back: it must be re-interned
+        # (identity validation), never served from the rows the filter read
         victim = survivors[0][0]
         by_id[victim] = Record.from_dict(
             victim, "s", {"name": "entirely different content now"}
@@ -595,8 +603,8 @@ class TestCheapFeatureStash:
         candidate_filter = CandidateFilter.from_model(model)
         kernel = ScoringKernel()
         survivors, pruned, _ = candidate_filter.split(kernel, by_id, pairs)
-        # featurize survivors AND pruned pairs together: survivors come from
-        # the stash, pruned rows take the fresh columnar path
+        # featurize survivors AND pruned pairs together on the kernel the
+        # filter just ran on
         mixed = sorted(pairs)
         rows = kernel.features_for_pairs(by_id, mixed)
         assert np.array_equal(rows, _scalar_matrix(by_id, mixed))
@@ -617,19 +625,20 @@ class TestStringSimMemoRotation:
         kernel = ScoringKernel()
         kernel._memo_limit = 8
         for index in range(8):
-            kernel._memo_insert((index, index + 1000), float(index))
+            kernel._memo_insert(_memo_key(index, index + 1000), float(index))
         # crossing the limit rotates; with the old clear() this lost every key
-        kernel._memo_insert((99, 1099), 0.5)
-        assert kernel._memo_lookup((3, 1003)) == 3.0
-        assert kernel.memo_hits == 1
+        kernel._memo_insert(_memo_key(99, 1099), 0.5)
+        found = kernel._string_sims(np.array([3]), np.array([1003]))
+        assert found.tolist() == [3.0]
+        assert (kernel.memo_hits, kernel.memo_misses) == (1, 0)
         # the promoted key is back in the live generation, not just the old one
-        assert (3, 1003) in kernel._string_sim_new
+        assert _memo_key(3, 1003) in kernel._string_sim_new
 
     def test_memo_stays_bounded_across_many_rotations(self):
         kernel = ScoringKernel()
         kernel._memo_limit = 16
         for index in range(500):
-            kernel._memo_insert((index, index + 10_000), 0.0)
+            kernel._memo_insert(_memo_key(index, index + 10_000), 0.0)
         assert kernel.memo_size <= 2 * kernel._memo_limit
 
     def test_hit_rate_stays_positive_across_rotation(self):
@@ -654,3 +663,173 @@ class TestStringSimMemoRotation:
         assert kernel.memo_hits > hits_before
         assert np.array_equal(first, second)
         assert np.array_equal(first, _scalar_matrix(by_id, pairs))
+
+
+class TestMemoLookupAccounting:
+    """Regression: a memo miss used to be counted twice — once when the
+    batch prefetch found it missing, again as a hit when the row assembly
+    read the prefetched value — so hits + misses overstated the lookups."""
+
+    def test_each_lookup_counted_once(self):
+        corpus = DedupCorpusGenerator(seed=31).generate(
+            n_entities=40, variants_per_entity=2
+        )
+        by_id = {r.record_id: r for r in corpus.records}
+        pairs = sorted(TokenBlocker(max_block_size=100).block(corpus.records).pairs)
+        # the scalar loop's memo lookups: shared attributes whose two
+        # normalized values are non-empty and differ
+        lookups, distinct = 0, set()
+        for a, b in pairs:
+            record_a, record_b = by_id[a], by_id[b]
+            attrs_a = {k for k, v in record_a.as_dict().items() if v not in (None, "")}
+            attrs_b = {k for k, v in record_b.as_dict().items() if v not in (None, "")}
+            for attr in attrs_a & attrs_b:
+                norm_a, norm_b = record_a.normalized(attr), record_b.normalized(attr)
+                if norm_a and norm_b and norm_a != norm_b:
+                    lookups += 1
+                    distinct.add((norm_a, norm_b))
+        assert lookups > len(distinct) > 0
+
+        kernel = ScoringKernel()
+        kernel.features_for_pairs(by_id, pairs)
+        assert kernel.memo_misses == len(distinct)
+        assert kernel.memo_hits + kernel.memo_misses == lookups
+        # a warm rerun looks everything up again and misses nothing
+        kernel.features_for_pairs(by_id, pairs)
+        assert kernel.memo_misses == len(distinct)
+        assert kernel.memo_hits + kernel.memo_misses == 2 * lookups
+
+
+def _python_calls(action):
+    """Python-frame ``call`` events while ``action`` runs (this thread)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestKernelRowTables:
+    """Shared-kernel thread safety, the per-pair Python gate, and bounded
+    row tables under streaming churn."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        train = DedupCorpusGenerator(seed=103).generate(n_entities=60)
+        return DedupModel(seed=0).fit(train.pairs)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_thread_workers_share_one_kernel(self, model, workers):
+        records = _random_records(81, n=40) + DedupCorpusGenerator(seed=82).generate(
+            n_entities=20, variants_per_entity=2
+        ).records
+        by_id = {r.record_id: r for r in records}
+        pairs = _all_pairs(records)[::3]
+        serial = BatchScorer(
+            model, executor=ShardedExecutor(ExecConfig(parallelism=1))
+        )
+        kernel = ScoringKernel()
+        threaded = BatchScorer(
+            model,
+            executor=ShardedExecutor(
+                ExecConfig(parallelism=workers, batch_size=23, backend="thread")
+            ),
+            kernel=kernel,
+        )
+        allocating = []
+        allocate = kernel._allocate_row
+
+        def tracked_allocate():
+            allocating.append(threading.current_thread())
+            return allocate()
+
+        kernel._allocate_row = tracked_allocate
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_index in range(3):
+                expected = serial.featurize_pairs(by_id, pairs)
+                assert np.array_equal(threaded.featurize_pairs(by_id, pairs), expected)
+                # re-intern a few records (rows retire and are reused)
+                for record in records[round_index :: 7]:
+                    values = dict(record.as_dict(), note=f"round {round_index}")
+                    by_id[record.record_id] = Record.from_dict(
+                        record.record_id, "s", values
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        # worker threads only read the row tables
+        assert allocating and set(allocating) == {threading.main_thread()}
+
+    def test_python_calls_do_not_scale_with_pairs(self, model):
+        corpus = DedupCorpusGenerator(seed=84).generate(
+            n_entities=60, variants_per_entity=3
+        )
+        by_id = {r.record_id: r for r in corpus.records}
+        pairs = random.Random(85).sample(_all_pairs(corpus.records), 4000)
+        small = pairs[::10]
+        candidate_filter = CandidateFilter.from_model(model)
+        kernel = ScoringKernel()
+
+        def run(batch):
+            candidate_filter.split(kernel, by_id, batch)
+            kernel.features_for_pairs(by_id, batch)
+
+        # interns every record and warms the memo and the order table, so
+        # both measurements below see only the per-batch work
+        run(pairs)
+        assert len({record for pair in small for record in pair}) > 0.9 * len(by_id)
+        calls_small = _python_calls(lambda: run(small))
+        calls_large = _python_calls(lambda: run(pairs))
+        assert calls_large <= 2 * calls_small, (calls_small, calls_large)
+
+    def test_row_tables_stay_bounded_under_churn(self, model):
+        """20 000 update/delete/re-insert events through a curator that is
+        never rebuilt: rows of discarded or re-interned records are reused."""
+        from repro.stream.changelog import ChangeEvent
+
+        corpus = DedupCorpusGenerator(seed=86).generate(
+            n_entities=60, variants_per_entity=3
+        )
+        documents = {
+            f"doc:{index}": dict(record.as_dict(), _id=f"doc:{index}")
+            for index, record in enumerate(corpus.records)
+        }
+        names = [doc["name"] for doc in documents.values()]
+        curator = DeltaCurator(model)
+        curator.bootstrap(documents.values())
+        curator.entities()
+        live = set(documents)
+        rng = random.Random(87)
+        events, seq = 0, 0
+        while events < 20_000:
+            batch = {}
+            for _ in range(100):
+                doc_id = rng.choice(sorted(documents))
+                seq += 1
+                if doc_id not in live:
+                    op, document = "insert", documents[doc_id]
+                    live.add(doc_id)
+                elif rng.random() < 0.25:
+                    op, document = "delete", None
+                    live.discard(doc_id)
+                else:
+                    op = "update"
+                    document = dict(documents[doc_id], name=rng.choice(names))
+                    documents[doc_id] = document
+                batch[doc_id] = ChangeEvent(
+                    seq=seq, op=op, doc_id=doc_id, document=document
+                )
+            events += 100
+            curator.apply_events(batch.values())
+            curator.entities()
+            assert curator.kernel.table_rows <= 2 * curator.record_count
+        assert curator.entities() == curator.batch_reference()
