@@ -9,18 +9,19 @@ relational query surface:
   [GROUP BY] [ORDER BY] [LIMIT]`` (plus ``DISTINCT``, aggregates and
   ``EXPLAIN``), producing a canonically-renderable AST;
 * :mod:`repro.sql.catalog` — a :class:`SqlContext` pinning one immutable
-  snapshot of the system and materialising the virtual-table catalog
+  snapshot of the system and serving the virtual-table catalog
   (``entities``, ``instances``, ``sources``, ``global_attributes``,
-  ``mappings``, ``clusters``, ``curation_status``) as typed
-  :class:`~repro.storage.relational.Table` instances with lazily built
-  :class:`~repro.storage.index.HashIndex` equality indexes;
+  ``mappings``, ``clusters``, ``curation_status``) as column stores,
+  captured one column at a time, with lazily built per-column equality
+  indexes and total-order ranks;
 * :mod:`repro.sql.planner` — the binder + logical planner: names resolve
   against the catalog (global-schema attribute names resolve to source
   attributes through the integrator's mappings), equality/range conjuncts
   are classified for pushdown, and the plan renders to stable ``EXPLAIN``
   text;
-* :mod:`repro.sql.executor` — the plan evaluator: indexed scans, hash
-  joins, deterministic grouping/ordering, per-query pushdown/scan
+* :mod:`repro.sql.executor` — the columnar plan evaluator: indexed
+  scans, boolean-mask predicates, index-probe joins, deterministic
+  grouping/ordering over group codes and ranks, per-query pushdown/scan
   counters on the observability hub.
 
 Entry points: :func:`run_sql` (and :meth:`repro.query.engine.QueryEngine

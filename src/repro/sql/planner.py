@@ -10,7 +10,7 @@
   integrator's source-attribute → global-attribute mappings;
 * the WHERE clause decomposes into top-level AND conjuncts, each
   classified per scan: ``column = literal`` becomes an equality-index
-  probe, ``column <op> literal`` (range) becomes a sorted-column bisect,
+  probe, ``column <op> literal`` (range) becomes a column-order bisect,
   anything else referencing a single binding stays a scan-level residual,
   and multi-binding conjuncts filter after the join;
 * the plan renders to stable, indented ``EXPLAIN`` text via
@@ -37,7 +37,7 @@ from .nodes import (
     render_literal,
 )
 
-#: Range operators eligible for sorted-column pushdown.
+#: Range operators eligible for column-order pushdown.
 RANGE_OPERATORS = ("<", "<=", ">", ">=")
 
 

@@ -339,6 +339,50 @@ class TestVirtualTables:
         )
 
 
+class TestEmptyTables:
+    """An engine built from raw entities has empty metadata tables."""
+
+    @pytest.fixture()
+    def bare_context(self):
+        return SqlContext(EntitySnapshot(entities=SHOWS, version=1))
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "SELECT e.entity_id FROM entities e "
+            "JOIN instances i ON e.entity_id = i.entity",
+            "SELECT i.instance_id FROM instances i "
+            "JOIN entities e ON i.entity = e.entity_id",
+            "SELECT e.entity_id, s.kind FROM entities e "
+            "JOIN sources s ON e.sources = s.source_id ORDER BY kind",
+            "SELECT source_id FROM mappings WHERE decision = 'accept'",
+            "SELECT source_id FROM mappings WHERE score > 0.5 ORDER BY score",
+            "SELECT DISTINCT kind FROM sources ORDER BY kind DESC LIMIT 3",
+            "SELECT kind, COUNT(*) FROM sources GROUP BY kind",
+        ],
+    )
+    def test_empty_table_yields_no_rows(self, bare_context, query):
+        assert run_sql(bare_context, query).rows == ()
+
+    def test_join_onto_empty_snapshot(self):
+        empty = SqlContext(EntitySnapshot(entities=(), version=1), metadata=METADATA)
+        result = run_sql(
+            empty,
+            "SELECT s.source_id FROM sources s "
+            "JOIN entities e ON s.source_id = e.sources",
+        )
+        assert result.rows == ()
+        assert result.stats.rows_scanned == 2
+
+    def test_global_aggregate_over_empty_table(self, bare_context):
+        result = run_sql(
+            bare_context,
+            "SELECT COUNT(*), COUNT(DISTINCT kind), MIN(sequence), "
+            "SUM(records_loaded) FROM sources",
+        )
+        assert result.rows == ((0, 0, None, None),)
+
+
 class TestExplain:
     def test_explain_is_stable_text(self, context):
         result = run_sql(
@@ -454,3 +498,78 @@ class TestOrderingPrimitives:
         assert group_key([1, 2]) == group_key([1, 2])
         assert group_key([1, 2]) != group_key([2, 1])
         assert group_key(1) == 1
+
+
+class TestNanPlacement:
+    """NaN sorts after every other number, on every ordered path."""
+
+    @pytest.fixture()
+    def nan_context(self):
+        import random
+
+        rng = random.Random(3)
+        pool = (float("nan"), 1.0, 2.5, 7.0, 9.0, None, 4, 3.5)
+        entities = tuple(
+            _entity(f"n{i:03d}", 1, ["s1"], x=rng.choice(pool))
+            for i in range(200)
+        )
+        return SqlContext(EntitySnapshot(entities=entities, version=1))
+
+    @pytest.mark.parametrize("predicate", ["x > 3", "x <= 4", "x >= 9", "x < 1.0"])
+    def test_pushdown_matches_scan_twin(self, nan_context, predicate):
+        query = "SELECT entity_id FROM entities WHERE {} ORDER BY entity_id"
+        pushed = run_sql(nan_context, query.format(predicate))
+        scanned = run_sql(nan_context, query.format(f"({predicate}) OR FALSE"))
+        assert pushed.stats.pushdowns == 1
+        assert scanned.stats.pushdowns == 0
+        assert pushed.rows == scanned.rows
+
+    def test_nan_is_greater_than_every_number(self, nan_context):
+        greater = run_sql(
+            nan_context, "SELECT COUNT(*) FROM entities WHERE x > 3"
+        ).rows[0][0]
+        finite = run_sql(
+            nan_context,
+            "SELECT COUNT(*) FROM entities WHERE x IN (7.0, 9.0, 4, 3.5)",
+        ).rows[0][0]
+        nans = sum(
+            1
+            for entity in nan_context.snapshot.entities
+            if entity.attributes["x"] != entity.attributes["x"]
+        )
+        assert nans > 0
+        assert greater == finite + nans
+
+    def test_order_by_places_nan_after_numbers_before_null(self, nan_context):
+        rows = run_sql(
+            nan_context, "SELECT x, entity_id FROM entities ORDER BY x"
+        ).rows
+        values = [row[0] for row in rows]
+        kinds = [
+            "null" if v is None else "nan" if v != v else "number" for v in values
+        ]
+        assert kinds == sorted(kinds, key=("number", "nan", "null").index)
+        numbers = [v for v in values if v is not None and v == v]
+        assert numbers == sorted(numbers)
+        # ties keep input order: NaN rows come out in entity order
+        nan_ids = [row[1] for row in rows if row[0] is not None and row[0] != row[0]]
+        assert nan_ids == sorted(nan_ids)
+        again = run_sql(
+            nan_context, "SELECT x, entity_id FROM entities ORDER BY x"
+        ).rows
+        assert [row[1] for row in again] == [row[1] for row in rows]
+
+    def test_min_max_follow_the_nan_place(self, nan_context):
+        (row,) = run_sql(
+            nan_context, "SELECT MIN(x), MAX(x) FROM entities"
+        ).rows
+        assert row[0] == 1.0
+        assert row[1] != row[1]  # NaN is the maximum
+
+    def test_sort_key_places_nan(self):
+        values = [float("nan"), float("inf"), None, "a", 2, -float("inf")]
+        values.sort(key=sort_key)
+        assert values[:2] == [-float("inf"), 2]
+        assert values[2] == float("inf")
+        assert values[3] != values[3]
+        assert values[4:] == ["a", None]

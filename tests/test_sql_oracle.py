@@ -6,9 +6,15 @@ reimplements the documented semantics (two-valued NULL logic, the shared
 total order, first-seen grouping, stable multi-key sorts) without touching
 any ``repro.sql`` machinery.  Engine rows must match oracle rows byte-for-
 byte under canonical JSON.
+
+Two worlds run the same generators: the base 60-entity world, and a wide
+600-entity world whose extra columns hold the executor's traps — one
+column mixing ``True``/``1``/``1.0``/``"1"``, NaN, an all-NULL column, an
+attribute missing on some entities, and ints beyond 2**53.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -19,6 +25,7 @@ from repro.sql import SqlContext, run_sql
 
 SEED = 20260808
 N_ENTITIES = 60
+N_WIDE_ENTITIES = 600
 
 GENRES = ("drama", "comedy", "scifi", "news", None)
 
@@ -26,12 +33,17 @@ GENRES = ("drama", "comedy", "scifi", "news", None)
 # -- dataset ----------------------------------------------------------------
 
 
-def _build_dataset(rng):
-    """Plain row dicts (the oracle's world) + the matching entities."""
+def _build_dataset(rng, n_entities=N_ENTITIES, extra=None):
+    """Plain row dicts (the oracle's world) + the matching entities.
+
+    ``extra(rng)`` (the wide world) returns further attributes per entity;
+    one it leaves out is NULL in the oracle row, absent on the entity.
+    """
     entity_rows = []
     cluster_rows = []
     entities = []
-    for i in range(N_ENTITIES):
+    extra_names = () if extra is None else _WIDE_COLUMNS
+    for i in range(n_entities):
         members = 1 + rng.randrange(3)
         sources = sorted({f"s{rng.randrange(4)}" for _ in range(members)})
         attributes = {
@@ -45,6 +57,8 @@ def _build_dataset(rng):
                 else f"c{rng.randrange(100)}"
             ),
         }
+        if extra is not None:
+            attributes.update(extra(rng))
         entity_id = f"e{i:03d}"
         member_ids = [f"{entity_id}-r{j}" for j in range(members)]
         entities.append(
@@ -62,6 +76,8 @@ def _build_dataset(rng):
             "sources": ",".join(sources),
         }
         row.update(attributes)
+        for name in extra_names:
+            row.setdefault(name, None)
         entity_rows.append(row)
         for j, record_id in enumerate(member_ids):
             cluster_rows.append(
@@ -75,6 +91,24 @@ def _build_dataset(rng):
     return entity_rows, cluster_rows, entities
 
 
+#: The wide world's extra columns (see ``_wide_attributes``).
+_WIDE_COLUMNS = ("flag", "x", "empty", "sparse", "big")
+_FLAGS = (True, 1, 1.0, "1", False, 0, None)
+_BIG = (2**53, 2**53 + 1, float(2**53), 2**60, -(2**60), 2**63 + 7, 3)
+
+
+def _wide_attributes(rng):
+    attributes = {
+        "flag": rng.choice(_FLAGS),
+        "x": rng.choice((float("nan"), 1.0, 2.5, 7.0, 9.0, None, 4, 3.5)),
+        "empty": None,
+        "big": rng.choice(_BIG),
+    }
+    if rng.random() < 0.6:  # absent on the other entities
+        attributes["sparse"] = rng.randrange(5)
+    return attributes
+
+
 # -- oracle semantics (independent reimplementation) ------------------------
 
 
@@ -83,6 +117,8 @@ def _sort_key(value):
         return (1, 0, 0)
     if isinstance(value, bool):
         return (0, 0, int(value))
+    if isinstance(value, float) and math.isnan(value):
+        return (0, 0, math.inf, 1)  # after every other number
     if isinstance(value, (int, float)):
         return (0, 0, value)
     if isinstance(value, str):
@@ -203,8 +239,17 @@ _COLUMNS = ("entity_id", "name", "year", "rating", "genre", "code",
 _OPS = ("=", "=", "!=", "<", "<=", ">", ">=", "IS NULL", "IS NOT NULL", "IN")
 
 
+def _literal_ok(value):
+    """SQL has no NaN or negative-number literal."""
+    if value is None:
+        return False
+    if isinstance(value, float) and math.isnan(value):
+        return False
+    return not (isinstance(value, (int, float)) and value < 0)
+
+
 def _random_operand(rng, rows, column):
-    pool = [row[column] for row in rows if row[column] is not None]
+    pool = [row[column] for row in rows if _literal_ok(row[column])]
     if pool and rng.random() < 0.7:
         return rng.choice(pool)
     return rng.choice(
@@ -241,16 +286,44 @@ def _maybe_limit(rng):
 # -- the corpus test --------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def world():
+_AGG_POOL = (
+    ("count_star", None),
+    ("count", "rating"),
+    ("count", "year"),
+    ("min", "name"),
+    ("min", "rating"),
+    ("max", "year"),
+    ("max", "code"),
+    ("sum", "year"),
+    ("avg", "rating"),
+)
+
+
+def _world(n_entities, extra, columns, **shapes):
     rng = random.Random(SEED)
-    entity_rows, cluster_rows, entities = _build_dataset(rng)
+    entity_rows, cluster_rows, entities = _build_dataset(rng, n_entities, extra)
     snapshot = EntitySnapshot(entities=tuple(entities), version=1)
-    return {
+    world = {
         "entities": entity_rows,
         "clusters": cluster_rows,
         "context": SqlContext(snapshot),
+        "columns": columns,
     }
+    world.update(shapes)
+    return world
+
+
+@pytest.fixture(scope="module")
+def world():
+    return _world(
+        N_ENTITIES,
+        None,
+        _COLUMNS,
+        distinct_columns=["name", "year", "genre", "size"],
+        group_columns=("genre", "year", "name", "size"),
+        agg_pool=_AGG_POOL,
+        join_where_columns=("name", "year", "rating", "genre", "code"),
+    )
 
 
 def _check(context, query, expected_names, expected_tuples):
@@ -272,9 +345,10 @@ class TestRandomizedCorpus:
         rng = random.Random(SEED + 1)
         rows = world["entities"]
         for _ in range(60):
-            names = rng.sample(_COLUMNS, 1 + rng.randrange(4))
+            names = rng.sample(world["columns"], 1 + rng.randrange(4))
             conjuncts = [
-                _random_conjunct(rng, rows) for _ in range(rng.randrange(3))
+                _random_conjunct(rng, rows, world["columns"])
+                for _ in range(rng.randrange(3))
             ]
             order_by = (
                 _random_order_by(rng, names) if rng.random() < 0.7 else []
@@ -304,10 +378,10 @@ class TestRandomizedCorpus:
         rng = random.Random(SEED + 2)
         rows = world["entities"]
         for _ in range(25):
-            names = rng.sample(["name", "year", "genre", "size"],
-                               1 + rng.randrange(2))
+            names = rng.sample(world["distinct_columns"], 1 + rng.randrange(2))
             conjuncts = [
-                _random_conjunct(rng, rows) for _ in range(rng.randrange(2))
+                _random_conjunct(rng, rows, world["columns"])
+                for _ in range(rng.randrange(2))
             ]
             order_by = _random_order_by(rng, names)
             limit = _maybe_limit(rng)
@@ -334,22 +408,12 @@ class TestRandomizedCorpus:
     def test_aggregate_selects(self, world):
         rng = random.Random(SEED + 3)
         rows = world["entities"]
-        agg_pool = (
-            ("count_star", None),
-            ("count", "rating"),
-            ("count", "year"),
-            ("min", "name"),
-            ("min", "rating"),
-            ("max", "year"),
-            ("max", "code"),
-            ("sum", "year"),
-            ("avg", "rating"),
-        )
         for _ in range(30):
-            group = rng.choice(("genre", "year", "name", "size"))
-            aggs = rng.sample(list(agg_pool), 1 + rng.randrange(3))
+            group = rng.choice(world["group_columns"])
+            aggs = rng.sample(list(world["agg_pool"]), 1 + rng.randrange(3))
             conjuncts = [
-                _random_conjunct(rng, rows) for _ in range(rng.randrange(2))
+                _random_conjunct(rng, rows, world["columns"])
+                for _ in range(rng.randrange(2))
             ]
             names = [group] + [f"a{i}" for i in range(len(aggs))]
             order_by = _random_order_by(rng, names)
@@ -397,7 +461,7 @@ class TestRandomizedCorpus:
         rng = random.Random(SEED + 4)
         entity_rows = world["entities"]
         cluster_rows = world["clusters"]
-        entity_where_cols = ("name", "year", "rating", "genre", "code")
+        entity_where_cols = world["join_where_columns"]
         cluster_where_cols = ("cluster_size", "member_index")
         for _ in range(25):
             entity_cols = rng.sample(("name", "year", "genre"),
@@ -451,3 +515,35 @@ class TestRandomizedCorpus:
             if limit is not None:
                 expected = expected[:limit]
             _check(world["context"], query, names, expected)
+
+
+class TestWideCorpus(TestRandomizedCorpus):
+    """The same generators over the wide world and its trap columns."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return _world(
+            N_WIDE_ENTITIES,
+            _wide_attributes,
+            _COLUMNS + _WIDE_COLUMNS,
+            distinct_columns=["name", "genre", "flag", "x", "big", "sparse"],
+            group_columns=("genre", "flag", "x", "empty", "sparse", "big"),
+            agg_pool=_AGG_POOL
+            + (
+                ("min", "x"),
+                ("max", "x"),
+                ("avg", "x"),
+                ("min", "big"),
+                ("max", "big"),
+                ("sum", "big"),
+                ("min", "flag"),
+                ("max", "flag"),
+                ("count", "empty"),
+                ("sum", "empty"),
+                ("count", "sparse"),
+                ("sum", "sparse"),
+            ),
+            join_where_columns=(
+                "name", "year", "genre", "flag", "x", "empty", "sparse", "big",
+            ),
+        )
