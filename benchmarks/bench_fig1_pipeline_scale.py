@@ -9,21 +9,6 @@ pipeline showing per-stage timing and that throughput scales roughly linearly
 
 This module also carries two comparison harnesses:
 
-* ``--compare`` — sequential vs ephemeral vs persistent-pool consolidation::
-
-      PYTHONPATH=src python benchmarks/bench_fig1_pipeline_scale.py --compare \
-          [--workers N] [--batch-size B] [--require-pool-win [--min-pool-speedup X]]
-
-  times the consolidation stage four ways at increasing corpus sizes:
-  sequentially, through an ephemeral ``process`` fan-out (fresh pool per
-  fan-out), and through the persistent warm-worker pool — both cold (first
-  run, including worker spawn and the full warm-state sync) and warm (the
-  steady state of a session).  Outputs are verified identical before any
-  timing is reported.  ``--require-pool-win`` exits non-zero if the warm
-  pool fails to beat the ephemeral fan-out — the CI pool-perf-smoke gate;
-  when the pool is slower than *sequential* (possible on few cores or tiny
-  corpora) a warning is printed and appended to the GitHub job summary.
-
 * ``--compare-kernel`` — scalar vs vectorized pair scoring::
 
       PYTHONPATH=src python benchmarks/bench_fig1_pipeline_scale.py \
@@ -60,7 +45,6 @@ PRs.
 """
 
 import argparse
-import os
 import struct
 import time
 
@@ -93,9 +77,9 @@ from repro.workloads import DedupCorpusGenerator
 SWEEP = scaled_sweep((250, 500, 1000), floor=15)
 PIPELINE_DOCUMENTS = scaled(300, floor=20)
 
-#: Dedup-corpus entity counts for the --compare consolidation sweep.
-#: scaled_sweep drops floor-induced duplicates so every row is a distinct
-#: corpus size even at smoke scale.
+#: Dedup-corpus entity counts for the --compare-kernel/--compare-stredit
+#: sweeps.  scaled_sweep drops floor-induced duplicates so every row is a
+#: distinct corpus size even at smoke scale.
 COMPARE_SCALES = scaled_sweep((100, 200, 400), floor=10)
 
 
@@ -200,175 +184,36 @@ def test_fig1_throughput_scales_with_corpus(benchmark, web_generator):
     assert rates[-1] > rates[0] / 3
 
 
-# -- sequential vs ephemeral vs persistent-pool comparison --------------------
-
-
-def _timed_consolidate(model, records, executor, oracle):
-    """One timed consolidation run whose output must equal ``oracle``."""
-    start = time.perf_counter()
-    entities = EntityConsolidator(model=model, executor=executor).consolidate(
-        records
-    )
-    elapsed = time.perf_counter() - start
-    if oracle is not None and entities != oracle:
-        raise AssertionError(
-            f"consolidation diverged from sequential at {len(records)} records"
-        )
-    return elapsed, entities
-
-
-def _compare_consolidation(workers, batch_size, scales):
-    """Time the consolidation stage four ways; outputs must be identical.
-
-    Per scale: **sequential** (no executor), **ephemeral** ``process``
-    fan-out (fresh pool spawned per fan-out — the pre-pool behaviour),
-    **persistent cold** (first run on a fresh persistent pool: includes the
-    one-time worker spawn and full warm-state sync), and **persistent
-    warm** (second run on the same pool — the steady state every later
-    fan-out of a session pays).  Returns one row dict per scale, including
-    the pool's sync/queue/compute attribution.
-    """
-    train = DedupCorpusGenerator(seed=103).generate(n_entities=DEDUP_ENTITIES)
-    model = DedupModel(seed=0).fit(train.pairs)
-    rows = []
-    for n_entities in scales:
-        corpus = DedupCorpusGenerator(seed=104).generate(
-            n_entities=n_entities, variants_per_entity=3
-        )
-        records = corpus.records
-
-        clear_token_cache()
-        start = time.perf_counter()
-        sequential = EntityConsolidator(model=model).consolidate(records)
-        seq_seconds = time.perf_counter() - start
-
-        clear_token_cache()
-        ephemeral_executor = ShardedExecutor(
-            ExecConfig(
-                parallelism=workers,
-                batch_size=batch_size,
-                backend="process",
-                pool="ephemeral",
-            )
-        )
-        eph_seconds, _ = _timed_consolidate(
-            model, records, ephemeral_executor, sequential
-        )
-
-        clear_token_cache()
-        persistent_executor = ShardedExecutor(
-            ExecConfig(
-                parallelism=workers,
-                batch_size=batch_size,
-                backend="process",
-                pool="persistent",
-            )
-        )
-        try:
-            cold_seconds, _ = _timed_consolidate(
-                model, records, persistent_executor, sequential
-            )
-            warm_seconds, _ = _timed_consolidate(
-                model, records, persistent_executor, sequential
-            )
-            pool = persistent_executor.pool
-            attribution = {
-                "sync_seconds": pool.total_sync_seconds,
-                "queue_seconds": pool.total_queue_seconds,
-                "compute_seconds": pool.total_compute_seconds,
-                "tasks": pool.tasks_completed,
-                "syncs": pool.sync_count,
-            }
-        finally:
-            persistent_executor.close()
-
-        rows.append(
-            {
-                "entities": n_entities,
-                "records": len(records),
-                "sequential_seconds": seq_seconds,
-                "ephemeral_seconds": eph_seconds,
-                "persistent_cold_seconds": cold_seconds,
-                "persistent_warm_seconds": warm_seconds,
-                "pool_cold_speedup_vs_ephemeral": eph_seconds / cold_seconds
-                if cold_seconds > 0
-                else float("inf"),
-                "pool_warm_speedup_vs_ephemeral": eph_seconds / warm_seconds
-                if warm_seconds > 0
-                else float("inf"),
-                "pool_warm_speedup_vs_sequential": seq_seconds / warm_seconds
-                if warm_seconds > 0
-                else float("inf"),
-                "pool_attribution": attribution,
-            }
-        )
-    return rows
-
-
-def _render_compare(rows, workers, batch_size):
-    lines = [
-        "Figure 1 — consolidation stage: sequential vs ephemeral process "
-        "fan-out vs persistent warm-worker pool "
-        f"({workers} workers, batch_size={batch_size}; outputs identical)",
-        f"{'entities':>9}{'records':>9}{'seq s':>8}{'eph s':>8}"
-        f"{'cold s':>8}{'warm s':>8}{'vs eph':>8}{'vs seq':>8}",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['entities']:>9}{row['records']:>9}"
-            f"{row['sequential_seconds']:>8.3f}{row['ephemeral_seconds']:>8.3f}"
-            f"{row['persistent_cold_seconds']:>8.3f}"
-            f"{row['persistent_warm_seconds']:>8.3f}"
-            f"{row['pool_warm_speedup_vs_ephemeral']:>7.2f}x"
-            f"{row['pool_warm_speedup_vs_sequential']:>7.2f}x"
-        )
-    attribution = rows[-1]["pool_attribution"]
-    lines.append(
-        "pool attribution at largest scale (cold+warm runs): "
-        f"sync {attribution['sync_seconds']:.3f}s over "
-        f"{attribution['syncs']} deltas, "
-        f"queue/IPC {attribution['queue_seconds']:.3f}s, "
-        f"compute {attribution['compute_seconds']:.3f}s "
-        f"across {attribution['tasks']} tasks"
-    )
-    return lines
+# -- sequential vs persistent-pool consolidation ------------------------------
 
 
 def test_fig1_parallel_consolidation_matches_sequential(benchmark):
-    """The comparison harness itself: identical outputs, speedups reported."""
-    scales = COMPARE_SCALES[:2]
-    rows = benchmark.pedantic(
-        _compare_consolidation,
-        args=(2, 256, scales),
-        rounds=1,
-        iterations=1,
-    )
-    # distinct name: never clobber an operator's real --compare results
-    note = (
-        "note: 2 process workers on a small corpus — fan-out overhead can "
-        "exceed the parallel win, so sub-1x speedup vs sequential here is "
-        "expected and not a regression; the tracked claim (persistent pool "
-        "beats ephemeral fan-out) lives in fig1_parallel_compare "
-        "(--compare, full scale) and is gated by CI's pool-perf-smoke job"
-    )
-    write_report(
-        "fig1_parallel_compare_smoke",
-        _render_compare(rows, 2, 256) + [note],
-    )
-    write_json(
-        "fig1_parallel_compare_smoke",
-        {"note": note, "workers": 2, "batch_size": 256, "rows": rows},
-    )
-    assert len(rows) == len(scales)
-    # equality is asserted inside _compare_consolidation; here we only check
-    # the bookkeeping came back sane (speedup claims live in --compare runs
-    # on multi-core hardware, not in CI containers)
-    for row in rows:
-        assert row["sequential_seconds"] > 0
-        assert row["ephemeral_seconds"] > 0
-        assert row["persistent_cold_seconds"] > 0
-        assert row["persistent_warm_seconds"] > 0
-        assert row["pool_attribution"]["tasks"] > 0
+    """Consolidation on the 2-worker persistent pool equals the sequential run.
+
+    The first pooled run ships every record to the workers (cold); the
+    benchmarked rerun finds them warm.  Both must be bit-identical to the
+    sequential entities.  Pool performance is measured end to end by the
+    ``curate_pool2`` workload of ``benchmarks/e2e``, not here.
+    """
+    train = DedupCorpusGenerator(seed=103).generate(n_entities=DEDUP_ENTITIES)
+    model = DedupModel(seed=0).fit(train.pairs)
+    records = DedupCorpusGenerator(seed=104).generate(
+        n_entities=COMPARE_SCALES[1], variants_per_entity=3
+    ).records
+    sequential = EntityConsolidator(model=model).consolidate(records)
+    executor = ShardedExecutor(ExecConfig(parallelism=2, batch_size=256))
+    try:
+        def pooled():
+            return EntityConsolidator(model=model, executor=executor).consolidate(
+                records
+            )
+
+        assert pooled() == sequential
+        warm = benchmark.pedantic(pooled, rounds=1, iterations=1)
+        assert warm == sequential
+        assert executor.pool.tasks_completed > 0
+    finally:
+        executor.close()
 
 
 # -- scalar vs vectorized kernel comparison ----------------------------------
@@ -651,12 +496,6 @@ def test_pair_workload_roundtrip(tmp_path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="run the sequential vs ephemeral vs persistent-pool "
-        "consolidation sweep",
-    )
-    parser.add_argument(
         "--compare-kernel",
         action="store_true",
         help="run the scalar-vs-vectorized pair-scoring sweep",
@@ -688,27 +527,6 @@ def main(argv=None):
         "of extracting one from the synthetic corpus",
     )
     parser.add_argument(
-        "--require-pool-win",
-        action="store_true",
-        help="with --compare: fail (exit 1) if the persistent pool's warm "
-        "runs are slower than the ephemeral process fan-out at the largest "
-        "scale — the CI pool-perf-smoke gate",
-    )
-    parser.add_argument(
-        "--min-pool-speedup",
-        type=float,
-        default=1.0,
-        help="with --require-pool-win: the required warm-pool-vs-ephemeral "
-        "factor (default 1.0: merely not slower)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=max(2, os.cpu_count() or 2),
-        help="worker count for the parallel run (default: cpu count, min 2)",
-    )
-    parser.add_argument("--batch-size", type=int, default=512)
-    parser.add_argument(
         "--scales",
         type=int,
         nargs="+",
@@ -716,9 +534,9 @@ def main(argv=None):
         help="dedup-corpus entity counts to sweep",
     )
     args = parser.parse_args(argv)
-    if not args.compare and not args.compare_kernel and not args.compare_stredit:
+    if not args.compare_kernel and not args.compare_stredit:
         parser.error(
-            "run with --compare, --compare-kernel or --compare-stredit "
+            "run with --compare-kernel or --compare-stredit "
             "(or via pytest for the full suite)"
         )
 
@@ -750,107 +568,26 @@ def main(argv=None):
             return 1
         return 0
 
-    if args.compare_kernel:
-        rows = _compare_kernel_scoring(args.scales)
-        lines = _render_kernel_compare(rows)
-        largest = rows[-1]
-        lines.append(
-            f"largest scale: {largest['kernel_speedup']:.2f}x vectorized, "
-            f"{largest['filtered_speedup']:.2f}x with filtering "
-            f"({100 * largest['pruned_fraction']:.1f}% of pairs pruned)"
-        )
-        write_report("fig1_kernel_compare", lines)
-        write_json(
-            "fig1_kernel_compare",
-            {"rows": rows, "min_speedup_required": args.min_speedup},
-        )
-        if args.min_speedup is not None and (
-            largest["kernel_speedup"] < args.min_speedup
-        ):
-            print(
-                f"FAIL: vectorized speedup {largest['kernel_speedup']:.2f}x "
-                f"below required {args.min_speedup:.2f}x"
-            )
-            return 1
-        return 0
-
-    rows = _compare_consolidation(args.workers, args.batch_size, args.scales)
-    lines = _render_compare(rows, args.workers, args.batch_size)
+    rows = _compare_kernel_scoring(args.scales)
+    lines = _render_kernel_compare(rows)
     largest = rows[-1]
-    pool_vs_ephemeral = largest["pool_warm_speedup_vs_ephemeral"]
-    pool_vs_sequential = largest["pool_warm_speedup_vs_sequential"]
     lines.append(
-        f"largest scale: persistent pool (warm) is {pool_vs_ephemeral:.2f}x "
-        f"the ephemeral fan-out and {pool_vs_sequential:.2f}x sequential"
+        f"largest scale: {largest['kernel_speedup']:.2f}x vectorized, "
+        f"{largest['filtered_speedup']:.2f}x with filtering "
+        f"({100 * largest['pruned_fraction']:.1f}% of pairs pruned)"
     )
-    slower_than_sequential = pool_vs_sequential < 1.0
-    if slower_than_sequential:
-        lines.append(
-            "warning: pooled fan-out is still slower than the sequential "
-            "path at this scale/core count — the pool re-wins fan-out "
-            "relative to ephemeral pools; beating one core outright needs "
-            "more cores or a bigger corpus"
-        )
-    write_report("fig1_parallel_compare", lines)
+    write_report("fig1_kernel_compare", lines)
     write_json(
-        "fig1_parallel_compare",
-        {
-            "workers": args.workers,
-            "backend": "process",
-            "batch_size": args.batch_size,
-            "rows": rows,
-            "pool_beats_ephemeral": pool_vs_ephemeral >= 1.0,
-            "pool_beats_sequential": pool_vs_sequential >= 1.0,
-            "min_pool_speedup_required": args.min_pool_speedup
-            if args.require_pool_win
-            else None,
-        },
+        "fig1_kernel_compare",
+        {"rows": rows, "min_speedup_required": args.min_speedup},
     )
-    _emit_job_summary(rows, pool_vs_ephemeral, pool_vs_sequential)
-    if args.require_pool_win and pool_vs_ephemeral < args.min_pool_speedup:
+    if args.min_speedup is not None and (largest["kernel_speedup"] < args.min_speedup):
         print(
-            f"FAIL: persistent pool warm speedup {pool_vs_ephemeral:.2f}x vs "
-            f"ephemeral fan-out is below required {args.min_pool_speedup:.2f}x"
+            f"FAIL: vectorized speedup {largest['kernel_speedup']:.2f}x "
+            f"below required {args.min_speedup:.2f}x"
         )
         return 1
     return 0
-
-
-def _emit_job_summary(rows, pool_vs_ephemeral, pool_vs_sequential):
-    """Append a human-readable verdict to the GitHub Actions job summary."""
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not summary_path:
-        return
-    largest = rows[-1]
-    lines = [
-        "### pool-perf-smoke: persistent pool vs ephemeral process fan-out",
-        "",
-        "| entities | sequential | ephemeral | pool (cold) | pool (warm) |",
-        "|---:|---:|---:|---:|---:|",
-    ]
-    for row in rows:
-        lines.append(
-            f"| {row['entities']} | {row['sequential_seconds']:.3f}s "
-            f"| {row['ephemeral_seconds']:.3f}s "
-            f"| {row['persistent_cold_seconds']:.3f}s "
-            f"| {row['persistent_warm_seconds']:.3f}s |"
-        )
-    lines.append("")
-    lines.append(
-        f"Largest scale ({largest['entities']} entities): warm pool is "
-        f"**{pool_vs_ephemeral:.2f}x** the ephemeral fan-out, "
-        f"{pool_vs_sequential:.2f}x sequential."
-    )
-    if pool_vs_sequential < 1.0:
-        lines.append(
-            "> :warning: pooled fan-out is slower than the *sequential* "
-            "path at this smoke scale/core count. That does not fail the "
-            "gate (the pool only has to beat the ephemeral fan-out), but "
-            "full-scale numbers should be re-checked on multi-core "
-            "hardware if this persists."
-        )
-    with open(summary_path, "a", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

@@ -117,23 +117,22 @@ class ExecConfig:
     """Settings for the parallel sharded execution engine.
 
     ``parallelism`` is the worker count used when a stage fans out over
-    shards (1 disables fan-out entirely); ``batch_size`` bounds how many
-    candidate pairs are featurized per scoring batch; ``backend`` picks the
-    pool flavour — ``thread`` (default; cheap startup, shares the token
-    cache), ``process`` (true CPU parallelism for the pure-Python hot
-    paths), or ``serial`` (run shard functions inline even when
-    ``parallelism`` > 1, useful for debugging).
-
-    The remaining knobs only apply to the ``process`` backend.  ``pool``
-    selects ``"persistent"`` (default: long-lived workers shared by every
-    fan-out of a session — see :class:`repro.exec.pool
-    .PersistentWorkerPool`) or ``"ephemeral"`` (a fresh pool per fan-out,
-    the pre-pool behaviour).  ``warm_state`` lets pair scoring ship each
-    record to the persistent workers once and send only pair ids afterwards
-    (deltas on streaming updates), instead of embedding records in every
-    chunk payload.  ``pool_idle_timeout`` stops idle persistent workers
-    after that many seconds (0 keeps them until the executor is closed);
+    shards: 1 runs every fan-out inline in the caller, anything above runs
+    it on one persistent process pool with warm worker state (see
+    :class:`repro.exec.pool.PersistentWorkerPool`) — records ship to the
+    long-lived workers once and later fan-outs send only ids and deltas.
+    ``batch_size`` bounds how many candidate pairs are featurized per
+    scoring chunk.  ``pool_idle_timeout`` stops idle pool workers after
+    that many seconds (0 keeps them until the executor is closed);
     restarting re-syncs the warm state automatically.
+
+    ``backend`` and ``pool`` each accept exactly one value (``"process"``
+    and ``"persistent"``, the defaults): the thread, serial, ephemeral and
+    cold-pool variants were measured slower than both inline and the warm
+    pool and were removed.  The two fields stay only because the end-to-end
+    benchmark's ``curate_pool2`` workload still constructs
+    ``ExecConfig(backend="process", pool="persistent")``; they go once that
+    benchmark stops passing them.
 
     ``dispatch_deadline`` bounds how long one dispatched shard may sit on a
     persistent worker before the worker is presumed hung, killed, respawned,
@@ -146,9 +145,8 @@ class ExecConfig:
 
     parallelism: int = 1
     batch_size: int = 256
-    backend: str = "thread"
+    backend: str = "process"
     pool: str = "persistent"
-    warm_state: bool = True
     pool_idle_timeout: float = 300.0
     dispatch_deadline: float = 0.0
     fault_plan: Optional[FaultPlan] = None
@@ -158,10 +156,18 @@ class ExecConfig:
             raise ConfigError("parallelism must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.backend not in {"serial", "thread", "process"}:
-            raise ConfigError(f"unknown exec backend: {self.backend!r}")
-        if self.pool not in {"persistent", "ephemeral"}:
-            raise ConfigError(f"unknown exec pool flavour: {self.pool!r}")
+        if self.backend != "process":
+            raise ConfigError(
+                f"exec backend {self.backend!r} was removed: parallel work "
+                'always runs on the process pool (only backend="process" '
+                "is accepted)"
+            )
+        if self.pool != "persistent":
+            raise ConfigError(
+                f"exec pool flavour {self.pool!r} was removed: the process "
+                'pool is always persistent (only pool="persistent" is '
+                "accepted)"
+            )
         if self.pool_idle_timeout < 0:
             raise ConfigError("pool_idle_timeout must be >= 0")
         if self.dispatch_deadline < 0:
@@ -409,23 +415,10 @@ class TamerConfig:
         return cfg.validate()
 
     @classmethod
-    def parallel(
-        cls,
-        workers: int,
-        batch_size: int = 256,
-        backend: str = "thread",
-        pool: str = "persistent",
-        warm_state: bool = True,
-    ) -> "TamerConfig":
+    def parallel(cls, workers: int, batch_size: int = 256) -> "TamerConfig":
         """A default configuration with the parallel execution engine enabled."""
         cfg = cls(
-            execution=ExecConfig(
-                parallelism=workers,
-                batch_size=batch_size,
-                backend=backend,
-                pool=pool,
-                warm_state=warm_state,
-            ),
+            execution=ExecConfig(parallelism=workers, batch_size=batch_size),
         )
         return cfg.validate()
 

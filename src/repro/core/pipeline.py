@@ -13,7 +13,7 @@ Stages come in three flavours:
 * :class:`PipelineStage` — one callable, run inline.
 * :class:`ParallelStage` — a fan-out/fan-in stage: ``fan_out`` splits the
   work into partitions, a :class:`~repro.exec.executor.ShardedExecutor`
-  maps ``worker`` over the partitions (threads, processes or inline), and
+  maps ``worker`` over the partitions (inline, or on its process pool), and
   ``fan_in`` merges the per-shard results in stable shard order.  Per-shard
   wall times are captured in :attr:`StageResult.shard_seconds`.
 * :class:`StreamingStage` — a micro-batch stage: ``source`` yields delta
@@ -48,11 +48,13 @@ class ParallelStage:
     """A fan-out/fan-in stage executed over shard partitions.
 
     ``fan_out(context)`` returns a list of partitions; ``worker(partition)``
-    processes one partition (it must not mutate the shared context — with the
-    process backend it runs in another interpreter); ``fan_in(context,
-    results)`` merges the per-shard results, which always arrive ordered by
-    shard index.  When ``fan_in`` is omitted the ordered result list itself
-    becomes the stage output.
+    processes one partition.  On a parallel executor it runs in another
+    interpreter, so it must pickle (a module-level function or a
+    :func:`functools.partial` of one) and cannot mutate the shared
+    context; a lambda raises :class:`~repro.errors.TamerError`.
+    ``fan_in(context, results)`` merges the per-shard results, which always
+    arrive ordered by shard index.  When ``fan_in`` is omitted the ordered
+    result list itself becomes the stage output.
     """
 
     name: str

@@ -47,7 +47,6 @@ from ..schema.global_schema import GlobalSchema
 from ..schema.integrator import SchemaIntegrator
 from ..schema.mapping import SourceMappingReport
 from ..storage.document_store import Collection, CollectionStats, DocumentStore
-from ..storage.relational import RelationalStore
 from ..stream.engine import DeltaApplyReport, StreamingTamer
 from ..text.parser import DomainParser, ParsedDocument
 from .catalog import SourceCatalog
@@ -108,7 +107,6 @@ class DataTamer:
         self._executor = ShardedExecutor(self.config.execution, hub=self._hub)
         self._retired_executors: List[ShardedExecutor] = []
         self.store = DocumentStore("dt", self.config.storage)
-        self.relational = RelationalStore()
         self.catalog = SourceCatalog()
         self.global_schema = GlobalSchema()
         self.rule_engine = RuleEngine()

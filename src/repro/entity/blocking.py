@@ -40,7 +40,7 @@ Pair = Tuple[str, str]
 
 
 def _shard_record_keys(blocker, part):
-    """Per-shard key extraction for block-based blockers (picklable)."""
+    """Key extraction over ``(index, record)`` items for block-based blockers."""
     return [
         (index, record.record_id, list(blocker.keys_for(record)))
         for index, record in part
@@ -48,7 +48,7 @@ def _shard_record_keys(blocker, part):
 
 
 def _shard_sort_keys(blocker, part):
-    """Per-shard sort-key extraction for sorted-neighborhood (picklable)."""
+    """Sort-key extraction over ``(index, record)`` items (sorted-neighborhood)."""
     return [(index, blocker._sort_key(record)) for index, record in part]
 
 
@@ -67,11 +67,11 @@ def _fan_out_warm(executor, blocker, kind, records):
     each worker nothing but its shard index.  Workers re-derive their
     partition with the same ``ShardRouter`` hash
     :meth:`~repro.exec.executor.ShardedExecutor.partition` uses, so the
-    merged result is exactly what the cold path produces.
+    merged result is exactly what inline extraction produces.
 
     Returns ``None`` when the scope contains duplicate record ids — the
-    workers' record store is keyed by id, so aliased records must take the
-    cold partition-shipping path.
+    workers' record store is keyed by id, so aliased records are keyed
+    inline instead.
     """
     from ..exec.pool import warm_block_keys
     from ..storage.sharding import _stable_hash
@@ -99,29 +99,18 @@ def _fan_out_indexed(executor, blocker, kind, records):
     """Fan key extraction out over shards, in original input order.
 
     ``kind`` is ``"keys"`` (blocking keys per record) or ``"sort"``
-    (sorted-neighborhood sort keys).  Warm persistent-pool executors take
-    :func:`_fan_out_warm`; everything else partitions ``(index, record)``
-    items and ships them.  Returns the per-record results reassembled in
-    original input order, so downstream block assembly sees exactly the
-    sequential iteration order.
+    (sorted-neighborhood sort keys).  Key extraction runs on the warm pool
+    (:func:`_fan_out_warm`); a scope of one record, or one with duplicate
+    ids, is keyed inline.  Returns the per-record results in original
+    input order, so downstream block assembly sees exactly the sequential
+    iteration order.
     """
-    if (
-        executor.uses_persistent_pool
-        and executor.warm_state
-        and len(records) > 1
-    ):
+    if len(records) > 1:
         merged = _fan_out_warm(executor, blocker, kind, records)
         if merged is not None:
             return merged
-    worker = partial(
-        _shard_record_keys if kind == "keys" else _shard_sort_keys, blocker
-    )
-    indexed = list(enumerate(records))
-    partitions = executor.partition(indexed, key=lambda item: item[1].record_id)
-    shard_results = executor.map_shards(worker, partitions)
-    merged = [entry for result in shard_results for entry in result]
-    merged.sort(key=lambda entry: entry[0])
-    return merged
+    extract = _shard_record_keys if kind == "keys" else _shard_sort_keys
+    return extract(blocker, list(enumerate(records)))
 
 
 def _ordered(a: str, b: str) -> Pair:

@@ -161,7 +161,7 @@ def _merge_cluster_chunk(merge_policy, payload):
     """Merge one chunk of (index, cluster) items (module-level: picklable).
 
     The payload's context is a record lookup restricted to what this chunk
-    needs when the process backend is in play, so pickling stays bounded.
+    needs, so each pickled payload stays bounded.
     """
     by_id, chunk = payload.context, payload.items
     return [
@@ -189,24 +189,18 @@ def merge_clusters(
             _merge_one_cluster(merge_policy, index, cluster, by_id)
             for index, cluster in ordered_clusters
         ]
-    chunks = executor.chunk(ordered_clusters)
-    if executor.backend == "process":
-        # bound each pickled payload to the records its clusters touch
-        payloads = [
-            ShardPayload(
-                context={
-                    record_id: by_id[record_id]
-                    for _, cluster in chunk
-                    for record_id in cluster
-                },
-                items=tuple(chunk),
-            )
-            for chunk in chunks
-        ]
-    else:
-        payloads = [
-            ShardPayload(context=by_id, items=tuple(chunk)) for chunk in chunks
-        ]
+    # bound each pickled payload to the records its clusters touch
+    payloads = [
+        ShardPayload(
+            context={
+                record_id: by_id[record_id]
+                for _, cluster in chunk
+                for record_id in cluster
+            },
+            items=tuple(chunk),
+        )
+        for chunk in executor.chunk(ordered_clusters)
+    ]
     worker = partial(_merge_cluster_chunk, merge_policy)
     chunk_results = executor.map_shards(worker, payloads)
     return [entity for chunk in chunk_results for entity in chunk]
@@ -377,7 +371,7 @@ class EntityConsolidator:
         matched list comes back from the workers rather than being
         re-derived here (and the fan-out is timed as ``featurize``).
         Either way the probabilities — and therefore the matched set — are
-        exactly the sequential scorer's, because every flavour scores with
+        exactly the sequential scorer's, because both paths score with
         the same fixed-order linear arithmetic.  The shared ``kernel``
         carries interned record data from the blocking/filtering phases
         into scoring.

@@ -319,8 +319,7 @@ class ScoringKernel:
     rewritten and the tables stay bounded by the live records plus one
     batch's churn.  Row tables are written only by :meth:`intern` (and
     :meth:`intern_all`, :meth:`discard`): batch calls over records already
-    interned only read them, which is what lets thread-backend workers share
-    one kernel.
+    interned only read them.
     """
 
     def __init__(
@@ -449,12 +448,10 @@ class ScoringKernel:
             self._retire(row)
 
     def intern_all(self, records: Iterable[Record]) -> None:
-        """Intern many records up front.
+        """Intern many records up front, in one batch epoch.
 
-        Thread-backend fan-outs call this before sharing the kernel across
-        worker threads: afterwards workers only *read* the row tables (the
-        string-sim memo is still written, but concurrent writes of an
-        identical value are benign under the GIL).
+        Afterwards, featurizing pairs over these records only *reads* the
+        row tables.
         """
         self._epoch += 1
         for record in records:
@@ -639,9 +636,9 @@ class ScoringKernel:
         """Take the shared-attribute order of one ordered signature pair
         from a real intersection of its two signatures' rebuilt sets.
 
-        Thread-backend workers share the kernel and may meet a new signature
-        pair at the same time, hence the lock; a grown table replaces the
-        old one, and an entry's row is written before its id is published.
+        Threads sharing one kernel may meet a new signature pair at the same
+        time, hence the lock; a grown table replaces the old one, and an
+        entry's row is written before its id is published.
         """
         with self._order_lock:
             entry = self._order_entry.get(key)

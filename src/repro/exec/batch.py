@@ -3,27 +3,22 @@
 Pairwise featurization used to re-tokenize each record's text blob for every
 pair it appears in; the :class:`~repro.entity.kernel.ScoringKernel` replaces
 that with interned per-record token/attribute data computed once.
-:class:`BatchScorer` featurizes candidate pairs in bounded-size chunks —
-optionally fanned out through a :class:`~repro.exec.executor.ShardedExecutor`
-— then classifies the full feature matrix in one call, which makes its
-scores exactly those of :meth:`repro.entity.dedup.DedupModel.score_pairs`.
+:class:`BatchScorer` scores candidate pairs through a
+:class:`~repro.exec.executor.ShardedExecutor` with scores exactly those of
+:meth:`repro.entity.dedup.DedupModel.score_pairs`.
 
 :func:`cached_tokenize` — the LRU-cached, bit-identical replacement for
 :func:`repro.text.tokenizer.tokenize` — remains the kernel's default
 tokenizer here, so the *blob → tokens* step is shared even across scorer
 (and kernel) instances within a process.
 
-Backend notes: the ``thread``/``serial`` backends share one kernel (records
-are interned up front, so worker threads only read per-record data; the
-string-sim memo takes benign same-value writes under the GIL).  The
-``process`` backend has two flavours.  With the persistent pool and
-``warm_state`` enabled, records are shipped to the long-lived workers
-*once* through :meth:`~repro.exec.pool.PersistentWorkerPool.sync_records`
-(content deltas only on later calls) and each chunk payload is just pair
-ids — the workers featurize against their warm, long-lived kernels.
-Otherwise each chunk ships the records it references and the worker
-rebuilds a chunk-local kernel.  Results are identical in every flavour
-because the kernel is a pure function of (records, pairs).
+With ``parallelism == 1`` a scorer featurizes every pair with one
+:meth:`~repro.entity.kernel.ScoringKernel.features_for_pairs` call.  Above
+it, records are shipped to the persistent pool's long-lived workers *once*
+through :meth:`~repro.exec.pool.PersistentWorkerPool.sync_records` (content
+deltas only on later calls) and each chunk payload is just pair ids — the
+workers featurize against their warm kernels.  Results are identical
+either way because the kernel is a pure function of (records, pairs).
 """
 
 from __future__ import annotations
@@ -35,9 +30,8 @@ import numpy as np
 
 from ..entity.kernel import ScoringKernel
 from ..entity.similarity import FEATURE_NAMES
-from ..ml.linear import linear_proba
 from ..text.tokenizer import tokenize
-from .executor import ShardedExecutor, ShardPayload
+from .executor import ShardedExecutor
 from .pool import warm_featurize, warm_score
 
 _TOKEN_CACHE_SIZE = 1 << 17
@@ -61,57 +55,6 @@ def token_cache_info():
 def clear_token_cache() -> None:
     """Drop all cached tokenizations (mainly for tests and benchmarks)."""
     _token_tuple.cache_clear()
-
-
-def _featurize_shared_kernel(kernel, payload):
-    """Feature matrix for one chunk against the shared (pre-interned) kernel."""
-    records_by_id, chunk = payload.context, payload.items
-    if not chunk:
-        return np.zeros((0, len(FEATURE_NAMES)), dtype=float)
-    return kernel.features_for_pairs(records_by_id, list(chunk))
-
-
-def _featurize_fresh_kernel(compare_attributes, payload):
-    """Feature matrix for one chunk via a worker-local kernel (picklable).
-
-    Used by the process backend: the payload carries only the records its
-    pairs reference, the worker interns them into a fresh kernel.  The
-    kernel is a pure function of its inputs, so the rows are bit-identical
-    to the shared-kernel path.
-    """
-    records_by_id, chunk = payload.context, payload.items
-    if not chunk:
-        return np.zeros((0, len(FEATURE_NAMES)), dtype=float)
-    kernel = ScoringKernel(
-        compare_attributes=compare_attributes, tokenizer=cached_tokenize
-    )
-    return kernel.features_for_pairs(records_by_id, list(chunk))
-
-
-def _score_shared_kernel(kernel, weights, bias, threshold, payload):
-    """(probabilities, decisions) for one chunk against the shared kernel.
-
-    In-worker classifier assembly for the thread/serial backends: the chunk
-    is featurized *and* pushed through the linear decision inside the
-    worker, so the parent only merges per-pair floats and booleans.
-    :func:`~repro.ml.linear.linear_proba` scores every row through the same
-    fixed-order float operations whatever the chunk size, which keeps the
-    probabilities bit-identical to classifying the full matrix at once.
-    """
-    features = _featurize_shared_kernel(kernel, payload)
-    probabilities = linear_proba(features, np.asarray(weights, dtype=float), bias)
-    return probabilities, probabilities >= threshold
-
-
-def _score_fresh_kernel(compare_attributes, weights, bias, threshold, payload):
-    """(probabilities, decisions) for one chunk via a worker-local kernel.
-
-    The ephemeral-process twin of :func:`_score_shared_kernel`: ships back
-    one float and one bool per pair instead of a full feature row.
-    """
-    features = _featurize_fresh_kernel(compare_attributes, payload)
-    probabilities = linear_proba(features, np.asarray(weights, dtype=float), bias)
-    return probabilities, probabilities >= threshold
 
 
 class BatchScorer:
@@ -140,9 +83,9 @@ class BatchScorer:
         )
         # a caller-supplied kernel (the streaming curator's, the
         # consolidator's) carries its interned records across calls; its
-        # attribute restriction is authoritative for the thread/serial
-        # path, so the process path must featurize under the same one —
-        # otherwise scores would silently depend on the backend
+        # attribute restriction is authoritative for the inline path, so
+        # the pool workers must featurize under the same one — otherwise
+        # scores would silently depend on the worker count
         if kernel is not None:
             self._kernel = kernel
             self._compare_attributes = kernel.compare_attributes
@@ -171,79 +114,49 @@ class BatchScorer:
         next warm-state sync so pool workers forget it too.
         """
         self._kernel.discard(record_id)
-        self._pending_discards.add(record_id)
+        if self._executor.fans_out:
+            self._pending_discards.add(record_id)
 
-    def _map_chunks(
+    def _map_warm(
         self,
         records_by_id: Dict[str, object],
         pairs: List[Tuple[str, str]],
-        warm_worker,
-        fresh_worker,
-        shared_worker,
+        worker,
+        *args,
     ) -> List[object]:
-        """Fan one chunked pair workload out, returning per-chunk results.
+        """Fan chunked pair ids out to the warm pool; per-chunk results.
 
-        The three worker factories receive the flavour-specific state
-        (warm-kernel restriction / compare-attribute list / the shared
-        kernel) and must return a picklable callable; which one runs is
-        decided by the executor's backend exactly as before, so every
-        flavour sees the same chunk boundaries and record payload policy.
+        Record deltas ship once through the pool's sync protocol, then each
+        chunk payload is only pair ids — the workers' long-lived kernels
+        do pure columnar scoring.  Each chunk runs
+        ``worker(restriction, *args, chunk)`` with the kernel's attribute
+        restriction.
         """
+        pool = self._executor.ensure_pool()
+        wanted = {record_id for pair in pairs for record_id in pair}
+        # a queued delete whose id is referenced again is a re-insert:
+        # the record is alive, so it must never be shipped as a delete
+        self._pending_discards -= wanted
+        deletes = sorted(self._pending_discards)
+        pool.sync_records(
+            {record_id: records_by_id[record_id] for record_id in wanted},
+            deletes=deletes,
+        )
+        restriction = (
+            tuple(self._compare_attributes)
+            if self._compare_attributes is not None
+            else None
+        )
         chunks = self._executor.chunk(pairs, self._batch_size)
-        if self._executor.uses_persistent_pool and self._executor.warm_state:
-            # warm path: ship record deltas once through the pool's sync
-            # protocol, then send only the pair ids per chunk — the workers'
-            # long-lived kernels do pure columnar scoring
-            pool = self._executor.ensure_pool()
-            wanted = {record_id for pair in pairs for record_id in pair}
-            # a queued delete whose id is referenced again is a re-insert:
-            # the record is alive, so it must never be shipped as a delete
-            self._pending_discards -= wanted
-            deletes = sorted(self._pending_discards)
-            pool.sync_records(
-                {record_id: records_by_id[record_id] for record_id in wanted},
-                deletes=deletes,
-            )
-            restriction = (
-                tuple(self._compare_attributes)
-                if self._compare_attributes is not None
-                else None
-            )
-            worker = warm_worker(restriction)
-            results = self._executor.map_shards(
-                worker, [tuple(chunk) for chunk in chunks], always_fan_out=True
-            )
-            # only a completed fan-out retires the queued deletes — if the
-            # pool died mid-batch they stay queued for the next generation
-            self._pending_discards.difference_update(deletes)
-            return results
-        if self._executor.backend == "process":
-            # ship each chunk only the records it references so the pickled
-            # payload stays bounded by batch_size, not corpus size
-            payloads = []
-            for chunk in chunks:
-                wanted = {record_id for pair in chunk for record_id in pair}
-                payloads.append(
-                    ShardPayload(
-                        context={
-                            record_id: records_by_id[record_id]
-                            for record_id in wanted
-                        },
-                        items=tuple(chunk),
-                    )
-                )
-            worker = fresh_worker(self._compare_attributes)
-        else:
-            # threads/serial share the kernel — intern every referenced
-            # record up front so worker threads never mutate shared state
-            wanted = {record_id for pair in pairs for record_id in pair}
-            self._kernel.intern_all(records_by_id[record_id] for record_id in wanted)
-            payloads = [
-                ShardPayload(context=records_by_id, items=tuple(chunk))
-                for chunk in chunks
-            ]
-            worker = shared_worker(self._kernel)
-        return self._executor.map_shards(worker, payloads)
+        results = self._executor.map_shards(
+            partial(worker, restriction, *args),
+            [tuple(chunk) for chunk in chunks],
+            always_fan_out=True,
+        )
+        # only a completed fan-out retires the queued deletes — if the
+        # pool died mid-batch they stay queued for the next generation
+        self._pending_discards.difference_update(deletes)
+        return results
 
     def featurize_pairs(
         self,
@@ -254,13 +167,9 @@ class BatchScorer:
         pairs = list(candidate_pairs)
         if not pairs:
             return np.zeros((0, len(FEATURE_NAMES)), dtype=float)
-        matrices = self._map_chunks(
-            records_by_id,
-            pairs,
-            warm_worker=lambda restriction: partial(warm_featurize, restriction),
-            fresh_worker=lambda attrs: partial(_featurize_fresh_kernel, attrs),
-            shared_worker=lambda kernel: partial(_featurize_shared_kernel, kernel),
-        )
+        if not self._executor.fans_out:
+            return self._kernel.features_for_pairs(records_by_id, pairs)
+        matrices = self._map_warm(records_by_id, pairs, warm_featurize)
         return np.vstack(matrices)
 
     def score_and_decide(
@@ -270,15 +179,15 @@ class BatchScorer:
     ) -> Tuple[Dict[Tuple[str, str], float], Set[Tuple[str, str]]]:
         """(pair → probability, set of pairs decided duplicates).
 
-        With a fitted linear model and a fanning-out executor, the feature
-        matrix never reaches the parent: each chunk worker assembles its
-        rows *and* applies the linear decision, shipping back one float and
-        one bool per pair.  :func:`~repro.ml.linear.linear_proba` makes the
-        chunked probabilities bit-identical to
+        With a fitted linear model and a parallel executor, the feature
+        matrix never reaches the parent: each pool worker assembles its
+        chunk's rows *and* applies the linear decision, shipping back one
+        float and one bool per pair.  :func:`~repro.ml.linear.linear_proba`
+        makes the chunked probabilities bit-identical to
         :meth:`DedupModel.score_pairs` on the full matrix, and the shipped
         decisions are exactly ``probability >= threshold`` under the same
-        floats.  Models without a linear decision (naive Bayes, unfitted)
-        fall back to featurize-then-classify in the parent.
+        floats.  Inline executors and models without a linear decision
+        (naive Bayes, unfitted) featurize-then-classify in the parent.
         """
         pairs = list(candidate_pairs)
         if not pairs:
@@ -298,18 +207,13 @@ class BatchScorer:
         # plain floats pickle exactly; the workers rebuild the array
         shipped_weights = tuple(float(weight) for weight in weights)
         shipped_bias = float(bias)
-        results = self._map_chunks(
+        results = self._map_warm(
             records_by_id,
             pairs,
-            warm_worker=lambda restriction: partial(
-                warm_score, restriction, shipped_weights, shipped_bias, threshold
-            ),
-            fresh_worker=lambda attrs: partial(
-                _score_fresh_kernel, attrs, shipped_weights, shipped_bias, threshold
-            ),
-            shared_worker=lambda kernel: partial(
-                _score_shared_kernel, kernel, shipped_weights, shipped_bias, threshold
-            ),
+            warm_score,
+            shipped_weights,
+            shipped_bias,
+            threshold,
         )
         scores: Dict[Tuple[str, str], float] = {}
         matches: Set[Tuple[str, str]] = set()
@@ -330,9 +234,9 @@ class BatchScorer:
     ) -> Dict[Tuple[str, str], float]:
         """Pair → duplicate probability, identical to the sequential scorer.
 
-        Chunk workers featurize — and, for linear models on fan-out
-        executors, classify — their pairs; the reassembled probabilities
-        match :meth:`DedupModel.score_pairs` bit for bit either way.
+        Pool workers featurize — and, for linear models, classify — their
+        chunks; the reassembled probabilities match
+        :meth:`DedupModel.score_pairs` bit for bit either way.
         """
         scores, _ = self.score_and_decide(records_by_id, candidate_pairs)
         return scores

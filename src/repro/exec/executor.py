@@ -12,17 +12,19 @@ Design rules that make parallel runs equivalent to sequential ones:
   input order, so callers that need the exact sequential order can carry the
   original index through the fan-out and sort on it when merging.
 
-Workers passed to :meth:`ShardedExecutor.map_shards` should be module-level
-functions (or :func:`functools.partial` of them) when the ``process`` backend
-is in play — closures do not pickle.
+Execution has two modes and no option to choose between them: with
+``parallelism == 1`` every fan-out runs inline in the caller; above it,
+fan-outs run on the executor's persistent warm-worker process pool
+(:class:`~repro.exec.pool.PersistentWorkerPool`).  Workers passed to
+:meth:`ShardedExecutor.map_shards` must therefore pickle: module-level
+functions or :func:`functools.partial` of them, never lambdas or closures.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, TypeVar
 
 from ..config import ExecConfig
@@ -73,18 +75,9 @@ class ShardPayload:
         return len(self.items)
 
 
-def _timed_call(func: Callable[[Any], Any], index: int, part: Any):
-    """Run ``func(part)`` and capture its wall time (module-level: picklable)."""
-    start = time.perf_counter()
-    result = func(part)
-    elapsed = time.perf_counter() - start
-    size = len(part) if hasattr(part, "__len__") else 1
-    return ShardTiming(shard=index, seconds=elapsed, items=size), result
-
-
-def _stamp_done(stamps: List[float], index: int, _future) -> None:
-    """Future done-callback recording when a shard's result became ready."""
-    stamps[index] = time.perf_counter()
+def _item_count(part: Any) -> int:
+    """Items in one partition (1 for a partition without a length)."""
+    return len(part) if hasattr(part, "__len__") else 1
 
 
 class ShardedExecutor:
@@ -96,9 +89,6 @@ class ShardedExecutor:
         *,
         parallelism: Optional[int] = None,
         batch_size: Optional[int] = None,
-        backend: Optional[str] = None,
-        pool: Optional[str] = None,
-        warm_state: Optional[bool] = None,
         hub: Optional[TelemetryHub] = None,
     ):
         base = config or ExecConfig()
@@ -107,9 +97,6 @@ class ShardedExecutor:
             for key, value in (
                 ("parallelism", parallelism),
                 ("batch_size", batch_size),
-                ("backend", backend),
-                ("pool", pool),
-                ("warm_state", warm_state),
             )
             if value is not None
         }
@@ -154,39 +141,13 @@ class ShardedExecutor:
         return self._config.batch_size
 
     @property
-    def backend(self) -> str:
-        """Pool flavour: ``serial``, ``thread`` or ``process``."""
-        return self._config.backend
-
-    @property
     def fans_out(self) -> bool:
-        """Whether sharded fan-out code paths should run at all.
+        """Whether fan-outs run on the persistent process pool.
 
-        True whenever more than one worker is configured — including the
-        ``serial`` backend, which executes the very same shard functions
-        inline (the debugging mode).  With one worker the plain sequential
-        code paths run instead.
+        True whenever more than one worker is configured; with one worker
+        the plain sequential code paths run instead.
         """
         return self._config.parallelism > 1
-
-    @property
-    def is_parallel(self) -> bool:
-        """Whether fan-outs actually use a pool."""
-        return self._config.parallelism > 1 and self._config.backend != "serial"
-
-    @property
-    def uses_persistent_pool(self) -> bool:
-        """Whether process fan-outs route through the persistent pool."""
-        return (
-            self._config.backend == "process"
-            and self._config.pool == "persistent"
-            and self._config.parallelism > 1
-        )
-
-    @property
-    def warm_state(self) -> bool:
-        """Whether pair scoring may use the pool's warm-state protocol."""
-        return self._config.warm_state
 
     @property
     def pool(self) -> Optional[PersistentWorkerPool]:
@@ -196,13 +157,12 @@ class ShardedExecutor:
     def ensure_pool(self) -> PersistentWorkerPool:
         """The persistent pool for this executor, created (not started) lazily.
 
-        Worker processes themselves start on the first fan-out/sync, so an
-        executor configured for the persistent pool costs nothing until
-        process-backend work actually runs.
+        Worker processes themselves start on the first fan-out/sync, so a
+        parallel executor costs nothing until pooled work actually runs.
         """
-        if not self.uses_persistent_pool:
+        if not self.fans_out:
             raise TamerError(
-                "executor is not configured for the persistent process pool"
+                "a parallelism=1 executor runs inline and has no process pool"
             )
         if self._pool is None:
             self._pool = PersistentWorkerPool(
@@ -222,11 +182,10 @@ class ShardedExecutor:
         global-profile table): the value is broadcast once per ``version``
         through :meth:`~repro.exec.pool.PersistentWorkerPool.sync_context`
         and workers read it back with :func:`~repro.exec.pool.warm_context`.
-        Returns ``False`` (a no-op) when this executor does not route
-        fan-outs through a warm persistent pool — inline and thread
-        backends share the caller's memory anyway.
+        Returns ``False`` (a no-op) for a ``parallelism == 1`` executor,
+        whose inline fan-outs share the caller's memory anyway.
         """
-        if not (self.uses_persistent_pool and self.warm_state):
+        if not self.fans_out:
             return False
         self.ensure_pool().sync_context(key, version, value)
         return True
@@ -319,9 +278,9 @@ class ShardedExecutor:
         """Apply ``func`` to every partition; results ordered by shard index.
 
         Per-shard wall times are recorded in :attr:`last_shard_timings`.
-        With the ``process`` backend and ``pool="persistent"``, shards run
-        on the executor's long-lived :class:`~repro.exec.pool
-        .PersistentWorkerPool` instead of a freshly spawned pool.
+        On a parallel executor, two or more partitions run on the
+        executor's long-lived :class:`~repro.exec.pool.PersistentWorkerPool`;
+        a single partition (or ``parallelism == 1``) runs inline.
 
         ``always_fan_out`` forces even a single partition through the
         persistent pool — warm-state featurization needs this, because its
@@ -330,65 +289,42 @@ class ShardedExecutor:
         """
         # reset first so a raising worker leaves no stale timings behind
         self._last_timings = []
-        label = (
-            self.backend
-            if self.is_parallel and len(partitions) > 1
-            else "inline"
+        use_pool = self.fans_out and (
+            len(partitions) > 1 or (always_fan_out and len(partitions) == 1)
         )
+        label = "process" if use_pool else "inline"
         with self._hub.tracer.span(
             "exec.fan_out",
             tags={"backend": label, "shards": len(partitions)},
         ):
-            results = self._dispatch(func, partitions, always_fan_out)
+            if use_pool:
+                results = self._map_on_pool(func, partitions)
+            else:
+                results = self._map_inline(func, partitions)
         self._m_fanouts.labels(backend=label).inc()
         for timing in self._last_timings:
             self._m_shard_compute.observe(timing.seconds)
             self._m_shard_queue.observe(timing.queue_seconds)
         return results
 
-    def _dispatch(
-        self,
-        func: Callable[[List[T]], Any],
-        partitions: Sequence[List[T]],
-        always_fan_out: bool,
+    def _map_inline(
+        self, func: Callable[[List[T]], Any], partitions: Sequence[List[T]]
     ) -> List[Any]:
-        use_pool = self.uses_persistent_pool and self.is_parallel and (
-            len(partitions) > 1 or (always_fan_out and len(partitions) == 1)
-        )
-        if use_pool:
-            return self._map_on_pool(func, partitions)
-        calls = [partial(_timed_call, func, index) for index in range(len(partitions))]
-        if not self.is_parallel or len(partitions) <= 1:
-            timed = [call(part) for call, part in zip(calls, partitions)]
-        else:
-            pool_cls = (
-                ProcessPoolExecutor if self.backend == "process" else ThreadPoolExecutor
-            )
-            workers = min(self.parallelism, len(partitions))
-            submitted = [0.0] * len(partitions)
-            finished = [0.0] * len(partitions)
-            with pool_cls(max_workers=workers) as pool:
-                futures = []
-                for index, (call, part) in enumerate(zip(calls, partitions)):
-                    submitted[index] = time.perf_counter()
-                    future = pool.submit(call, part)
-                    future.add_done_callback(partial(_stamp_done, finished, index))
-                    futures.append(future)
-                timed = [future.result() for future in futures]
-            timed = [
-                (
-                    replace(
-                        timing,
-                        queue_seconds=max(
-                            0.0, finished[i] - submitted[i] - timing.seconds
-                        ),
-                    ),
-                    result,
+        """Run every partition in the calling thread, in shard order."""
+        results: List[Any] = []
+        timings: List[ShardTiming] = []
+        for index, part in enumerate(partitions):
+            start = time.perf_counter()
+            results.append(func(part))
+            timings.append(
+                ShardTiming(
+                    shard=index,
+                    seconds=time.perf_counter() - start,
+                    items=_item_count(part),
                 )
-                for i, (timing, result) in enumerate(timed)
-            ]
-        self._last_timings = [timing for timing, _ in timed]
-        return [result for _, result in timed]
+            )
+        self._last_timings = timings
+        return results
 
     def _map_on_pool(
         self, func: Callable[[List[T]], Any], partitions: Sequence[List[T]]
@@ -400,7 +336,7 @@ class ShardedExecutor:
             ShardTiming(
                 shard=index,
                 seconds=timing.compute_seconds,
-                items=len(part) if hasattr(part, "__len__") else 1,
+                items=_item_count(part),
                 queue_seconds=timing.queue_seconds,
             )
             for index, (part, timing) in enumerate(zip(partitions, task_timings))

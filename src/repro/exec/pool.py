@@ -1,12 +1,13 @@
 """Persistent warm-worker pool: process fan-out without re-paying startup.
 
-The ephemeral ``process`` backend pays two taxes on every fan-out: a fresh
-``ProcessPoolExecutor`` spawn (interpreter start, imports) and — for pair
-scoring — a chunk-local :class:`~repro.entity.kernel.ScoringKernel` rebuild
-in each worker, because records are shipped inside every payload.  With the
-vectorized kernel the remaining per-chunk compute is small enough that those
-taxes dominate at laptop scale (see docs/parallel_execution.md), which is
-exactly what this module removes:
+A process pool spawned per fan-out pays two taxes every time: interpreter
+start and imports, and — for pair scoring — a chunk-local
+:class:`~repro.entity.kernel.ScoringKernel` rebuild in each worker, because
+records ship inside every payload.  With the vectorized kernel the
+remaining per-chunk compute is small enough that those taxes dominate at
+laptop scale (see docs/parallel_execution.md).  This pool, the only
+parallel path of :class:`~repro.exec.executor.ShardedExecutor`, removes
+both:
 
 * :class:`PersistentWorkerPool` keeps worker *processes* alive across
   fan-outs (and across pipeline stages, streaming micro-batches, and whole
@@ -28,7 +29,7 @@ Determinism: tasks are dispatched round-robin by task index, and results
 are always merged by task index — never by completion order — so the
 stable-ordered-merge guarantee of :class:`~repro.exec.executor
 .ShardedExecutor` is preserved verbatim.  Equivalence is structural: warm
-workers featurize through the same pure ``ScoringKernel`` as every other
+workers featurize through the same pure ``ScoringKernel`` as the inline
 path, and the kernel's features are id-order independent, so a worker that
 interned records in a different order (or across many syncs) produces
 bit-identical rows.
@@ -37,6 +38,7 @@ bit-identical rows.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import signal
 import threading
 import time
@@ -44,6 +46,7 @@ import traceback
 import weakref
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import InjectedFault, TamerError
@@ -196,6 +199,7 @@ def warm_block_keys(
     record_id, [blocking keys])`` entries, ``"sort"`` returns ``(index,
     sort_key)`` entries for sorted-neighborhood ordering.
     """
+    from ..entity.blocking import _shard_record_keys, _shard_sort_keys
     from ..storage.sharding import ShardRouter
 
     state = _WORKER_STATE
@@ -205,7 +209,7 @@ def warm_block_keys(
         )
     scope_ids = warm_context(scope_key)
     router = ShardRouter(num_shards)
-    results = []
+    part = []
     for index, record_id in enumerate(scope_ids):
         if router.shard_for(record_id) != shard_index:
             continue
@@ -215,13 +219,9 @@ def warm_block_keys(
                 f"warm worker is missing record {record_id!r}; "
                 "state sync is incomplete"
             )
-        if kind == "keys":
-            results.append((index, record_id, list(blocker.keys_for(record))))
-        elif kind == "sort":
-            results.append((index, blocker._sort_key(record)))
-        else:  # pragma: no cover - defensive
-            raise TamerError(f"unknown warm blocking kind: {kind!r}")
-    return results
+        part.append((index, record))
+    extract = _shard_record_keys if kind == "keys" else _shard_sort_keys
+    return extract(blocker, part)
 
 
 def warm_context(key: str):
@@ -829,14 +829,27 @@ class PersistentWorkerPool:
                     )
                 func, arg = tasks[index]
                 submitted_at[index] = time.perf_counter()
+                try:
+                    message = ForkingPickler.dumps(
+                        ("call", index, func, arg, attempts[index])
+                    )
+                except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                    if in_flight:
+                        # results of tasks already out must not leak into
+                        # a later batch
+                        self._stop_workers()
+                    raise TamerError(
+                        "shard workers and their payloads must pickle to run "
+                        "on the process pool (parallelism > 1): use a "
+                        "module-level function or a functools.partial of "
+                        f"one, not a lambda or closure ({exc})"
+                    ) from exc
                 in_flight[slot] = index
                 try:
                     self._faults.fire(
                         "pool.pipe_send", key=(index, attempts[index])
                     )
-                    self._workers[slot].connection.send(
-                        ("call", index, func, arg, attempts[index])
-                    )
+                    self._workers[slot].connection.send_bytes(message)
                 except (BrokenPipeError, OSError, InjectedFault):
                     # the pipe failed (or an injected fault stood in for it):
                     # the peer is unreachable, so treat the worker as dead —

@@ -18,7 +18,6 @@ entities, never an entity list paired with the wrong watermark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..entity.consolidation import ConsolidatedEntity
@@ -44,15 +43,6 @@ def _entity_matches_search(
         if value not in (None, ""):
             haystack.extend(tokenize(str(value)))
     return wanted.issubset(set(haystack))
-
-
-def _search_shard(wanted, attributes, part):
-    """Evaluate the search predicate over one shard (picklable worker)."""
-    return [
-        index
-        for index, entity in part
-        if _entity_matches_search(entity, wanted, attributes)
-    ]
 
 
 @dataclass
@@ -85,7 +75,13 @@ class QueryResult:
 
 
 class QueryEngine:
-    """Query consolidated entities expressed in the global schema."""
+    """Query consolidated entities expressed in the global schema.
+
+    Every query scans the pinned snapshot inline; a process fan-out would
+    ship the snapshot to the pool workers on every request.  ``executor``
+    is accepted from callers that hand over their session's executor and
+    is not used.
+    """
 
     def __init__(
         self,
@@ -99,7 +95,6 @@ class QueryEngine:
             watermark=watermark,
             schema_watermark=schema_watermark,
         )
-        self._executor = executor
 
     @classmethod
     def from_snapshot(
@@ -111,7 +106,6 @@ class QueryEngine:
         copied) — how server workers evaluate against a pinned view."""
         engine = cls.__new__(cls)
         engine._snapshot = snapshot
-        engine._executor = executor
         return engine
 
     def __len__(self) -> int:
@@ -218,37 +212,18 @@ class QueryEngine:
     def search(
         self, phrase: str, attributes: Optional[Sequence[str]] = None
     ) -> QueryResult:
-        """Keyword search: entities whose text contains every token of ``phrase``.
-
-        With a parallel executor the tokenize-heavy predicate fans out over
-        deterministic entity shards; matches are merged back into engine
-        order, so results are identical to the sequential scan.
-        """
+        """Keyword search: entities whose text contains every token of ``phrase``."""
         wanted = frozenset(tokenize(phrase))
         if not wanted:
             raise QueryError("search phrase has no tokens")
-        # one snapshot capture for the whole scan: the fan-out below indexes
-        # back into the same tuple it partitioned, even if a swap lands
-        entities = self._snapshot.entities
         attribute_list = list(attributes) if attributes is not None else None
-        if self._executor is not None and self._executor.fans_out:
-            indexed = list(enumerate(entities))
-            partitions = self._executor.partition(
-                indexed, key=lambda item: item[1].entity_id
-            )
-            worker = partial(_search_shard, wanted, attribute_list)
-            shard_hits = self._executor.map_shards(worker, partitions)
-            hit_indices = sorted(
-                index for hits in shard_hits for index in hits
-            )
-            matches = [entities[index] for index in hit_indices]
-        else:
-            matches = [
+        return QueryResult(
+            entities=[
                 entity
-                for entity in entities
+                for entity in self._snapshot.entities
                 if _entity_matches_search(entity, wanted, attribute_list)
             ]
-        return QueryResult(entities=matches)
+        )
 
     def sql(self, query: str, metadata=None, hub=None):
         """Run one SQL ``SELECT`` against the current snapshot.

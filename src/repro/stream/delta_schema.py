@@ -51,6 +51,7 @@ fallback and changelog crash recovery rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -140,25 +141,15 @@ class SchemaRefreshStats:
         }
 
 
-def _score_profile_shard(weights: Dict[str, float], payload):
-    """Score one chunk of (name, profile, global-index) items (picklable).
-
-    ``payload.context`` is the global ``(name, profile)`` table; the matcher
-    is a pure function of the *raw* config weights, so worker-side scores
-    are bit-identical to inline ones.
-    """
-    table, items = payload.context, payload.items
-    matcher = CompositeMatcher(weights)
-    return [
-        matcher.score(name, profile, table[index][0], table[index][1])
-        for name, profile, index in items
-    ]
-
-
 def _score_profile_shard_warm(key: str, weights: Dict[str, float], chunk):
-    """The warm-pool flavour: the global table was shipped once via
+    """Score one chunk of (name, profile, global-index) items in a pool worker.
+
+    The global ``(name, profile)`` table was shipped once via
     :meth:`~repro.exec.pool.PersistentWorkerPool.sync_context`, so the chunk
-    payload carries only the source side of each pair."""
+    payload carries only the source side of each pair.  The matcher is a
+    pure function of the *raw* config weights, so worker-side scores are
+    bit-identical to inline ones.
+    """
     from ..exec.pool import warm_context
 
     table = warm_context(key)
@@ -584,36 +575,18 @@ class DeltaIntegrator(DeltaOperator):
             (attribute.name, attribute.profile) for attribute in attributes
         )
         weights = self._config.matcher_weights
-        chunks = executor.chunk(items)
-        if executor.uses_persistent_pool and executor.warm_state:
-            # warm path: the global-profile table ships to the pool workers
-            # once per schema epoch; chunk payloads carry only pair ids
-            if self._warm_table is None or not _same_table(
-                self._warm_table, table
-            ):
-                self._warm_version += 1
-                self._warm_table = table
-            executor.sync_warm_context(
-                self._warm_context_key, self._warm_version, table
-            )
-            from functools import partial
-
-            worker = partial(
-                _score_profile_shard_warm, self._warm_context_key, weights
-            )
-            shard_results = executor.map_shards(
-                worker, [tuple(chunk) for chunk in chunks], always_fan_out=True
-            )
-        else:
-            from functools import partial
-
-            from ..exec.executor import ShardPayload
-
-            payloads = [
-                ShardPayload(context=table, items=tuple(chunk)) for chunk in chunks
-            ]
-            worker = partial(_score_profile_shard, weights)
-            shard_results = executor.map_shards(worker, payloads)
+        # the global-profile table ships to the pool workers once per
+        # schema epoch; chunk payloads carry only the source side
+        if self._warm_table is None or not _same_table(self._warm_table, table):
+            self._warm_version += 1
+            self._warm_table = table
+        executor.sync_warm_context(self._warm_context_key, self._warm_version, table)
+        worker = partial(_score_profile_shard_warm, self._warm_context_key, weights)
+        shard_results = executor.map_shards(
+            worker,
+            [tuple(chunk) for chunk in executor.chunk(items)],
+            always_fan_out=True,
+        )
         return [score for shard in shard_results for score in shard]
 
     #: Process-wide counter behind each integrator's warm-context key.

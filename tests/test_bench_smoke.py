@@ -132,31 +132,6 @@ def test_fig1_streaming_compare_entry_point():
             sys.modules.pop("conftest", None)
 
 
-def test_fig1_compare_mode_entry_point():
-    """The --compare script mode stays wired up (tiny in-process run)."""
-    saved = sys.modules.get("conftest")
-    sys.path.insert(0, str(BENCHMARKS_DIR))
-    try:
-        sys.modules["conftest"] = _load_module(
-            BENCHMARKS_DIR / "conftest.py", "conftest"
-        )
-        fig1 = _load_module(
-            BENCHMARKS_DIR / "bench_fig1_pipeline_scale.py", "bench_fig1_smoke"
-        )
-        rows = fig1._compare_consolidation(2, 64, [12])
-        assert len(rows) == 1
-        assert rows[0]["sequential_seconds"] > 0
-        assert rows[0]["ephemeral_seconds"] > 0
-        assert rows[0]["persistent_cold_seconds"] > 0
-        assert rows[0]["persistent_warm_seconds"] > 0
-    finally:
-        sys.path.remove(str(BENCHMARKS_DIR))
-        if saved is not None:
-            sys.modules["conftest"] = saved
-        else:
-            sys.modules.pop("conftest", None)
-
-
 def test_fig1_compare_kernel_entry_point():
     """The --compare-kernel mode stays wired up (tiny in-process run).
 

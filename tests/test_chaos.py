@@ -24,8 +24,6 @@ import os
 import threading
 from pathlib import Path
 
-import pytest
-
 from repro import DataTamer, TamerConfig
 from repro.config import EntityConfig, ExecConfig, ServeConfig
 from repro.errors import InjectedFault
@@ -97,12 +95,10 @@ def _serve_chaos_plan() -> FaultPlan:
     )
 
 
-def _chaos_stack(backend):
+def _chaos_stack():
     config = TamerConfig.small()
     config.entity = EntityConfig(blocking_strategy="token")
-    config.execution = ExecConfig(
-        parallelism=2, backend=backend, dispatch_deadline=10.0
-    )
+    config.execution = ExecConfig(parallelism=2, dispatch_deadline=10.0)
     tamer = DataTamer(config.validate())
     corpus = DedupCorpusGenerator(seed=41).generate(n_entities=40)
     tamer.train_dedup_model(corpus.pairs)
@@ -117,11 +113,10 @@ def _chaos_stack(backend):
     return tamer, stream, server, seed, updates
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_serving_invariants_hold_under_connection_chaos(backend):
-    tamer, stream, server, seed, updates = _chaos_stack(backend)
+def test_serving_invariants_hold_under_connection_chaos():
+    tamer, stream, server, seed, updates = _chaos_stack()
     try:
-        with _schedule_artifact(f"serve-{backend}", lambda: server._faults):
+        with _schedule_artifact("serve", lambda: server._faults):
             views = {server.view.version: server.view}
 
             def record(_snapshot):

@@ -106,26 +106,39 @@ class TestCurationPipeline:
         assert "flaky" not in context
 
 
-class TestParallelStage:
-    def _executor(self, workers=4):
-        return ShardedExecutor(ExecConfig(parallelism=workers))
+def _square_sum(part):
+    return sum(n * n for n in part)
 
-    def test_fan_out_worker_fan_in(self):
-        pipeline = CurationPipeline(executor=self._executor())
+
+def _one_over_first(part):
+    return 1 // part[0]
+
+
+@pytest.fixture(scope="class")
+def pooled():
+    """One 4-worker executor (and process pool) shared by the class."""
+    executor = ShardedExecutor(ExecConfig(parallelism=4))
+    yield executor
+    executor.close()
+
+
+class TestParallelStage:
+    def test_fan_out_worker_fan_in(self, pooled):
+        pipeline = CurationPipeline(executor=pooled)
         pipeline.add_stage("numbers", lambda ctx: list(range(100)))
         pipeline.add_parallel_stage(
             "square_sum",
             fan_out=lambda ctx: pipeline.executor.partition(
                 ctx["numbers"], key=lambda n: n
             ),
-            worker=lambda part: sum(n * n for n in part),
+            worker=_square_sum,
             fan_in=lambda ctx, results: sum(results),
         )
         context = pipeline.run()
         assert context["square_sum"] == sum(n * n for n in range(100))
 
-    def test_default_fan_in_returns_ordered_results(self):
-        pipeline = CurationPipeline(executor=self._executor())
+    def test_default_fan_in_returns_ordered_results(self, pooled):
+        pipeline = CurationPipeline(executor=pooled)
         pipeline.add_parallel_stage(
             "lengths",
             fan_out=lambda ctx: [[1], [2, 2], [3, 3, 3]],
@@ -134,8 +147,8 @@ class TestParallelStage:
         context = pipeline.run()
         assert context["lengths"] == [1, 2, 3]
 
-    def test_shard_seconds_captured_in_stage_result(self):
-        pipeline = CurationPipeline(executor=self._executor())
+    def test_shard_seconds_captured_in_stage_result(self, pooled):
+        pipeline = CurationPipeline(executor=pooled)
         pipeline.add_stage("seq", lambda ctx: 1)
         pipeline.add_parallel_stage(
             "par",
@@ -149,17 +162,34 @@ class TestParallelStage:
         assert all(s >= 0 for s in by_name["par"].shard_seconds)
         assert pipeline.shard_timing_summary()["par"] == by_name["par"].shard_seconds
 
-    def test_parallel_stage_failure_recorded(self):
-        pipeline = CurationPipeline(executor=self._executor())
+    def test_parallel_stage_failure_recorded(self, pooled):
+        pipeline = CurationPipeline(executor=pooled)
         pipeline.add_parallel_stage(
             "bad",
             fan_out=lambda ctx: [[1], [0]],
-            worker=lambda part: 1 // part[0],
+            worker=_one_over_first,
         )
         with pytest.raises(ZeroDivisionError):
             pipeline.run()
         assert not pipeline.succeeded
         assert pipeline.results[0].error is not None
+
+    def test_lambda_worker_on_the_pool_raises_a_clear_error(self):
+        executor = ShardedExecutor(ExecConfig(parallelism=2))
+        try:
+            pipeline = CurationPipeline(executor=executor)
+            pipeline.add_parallel_stage(
+                "lam",
+                fan_out=lambda ctx: [[1], [2]],
+                worker=lambda part: part,
+            )
+            with pytest.raises(TamerError, match="must pickle"):
+                pipeline.run()
+            assert pipeline.results[0].error is not None
+            # the pool stays usable for picklable workers
+            assert executor.map_shards(len, [[1], [2, 2]]) == [1, 2]
+        finally:
+            executor.close()
 
     def test_parallel_stage_listed_in_stages(self):
         pipeline = CurationPipeline()

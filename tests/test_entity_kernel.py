@@ -19,7 +19,6 @@ import math
 import random
 import string
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -242,17 +241,18 @@ class TestRewiredCallersExact:
         }
         assert scored == expected
 
-    def test_batch_scorer_matches_model_across_backends(self, corpus, model):
+    def test_batch_scorer_matches_model_across_worker_counts(self, corpus, model):
         records = corpus.records[:40]
         by_id = {r.record_id: r for r in records}
         pairs = sorted(TokenBlocker(max_block_size=60).block(records).pairs)
         expected = model.score_pairs(by_id, pairs)
-        for backend, workers in (("thread", 4), ("serial", 4), ("thread", 1)):
-            executor = ShardedExecutor(
-                ExecConfig(parallelism=workers, batch_size=17, backend=backend)
-            )
-            scorer = BatchScorer(model, executor=executor)
-            assert scorer.score_pairs(by_id, pairs) == expected
+        for workers in (4, 1):
+            executor = ShardedExecutor(ExecConfig(parallelism=workers, batch_size=17))
+            try:
+                scorer = BatchScorer(model, executor=executor)
+                assert scorer.score_pairs(by_id, pairs) == expected
+            finally:
+                executor.close()
 
     def test_model_featurize_matches_scalar(self, corpus):
         model = DedupModel(seed=0)
@@ -718,56 +718,13 @@ def _python_calls(action):
 
 
 class TestKernelRowTables:
-    """Shared-kernel thread safety, the per-pair Python gate, and bounded
-    row tables under streaming churn."""
+    """The per-pair Python gate and bounded row tables under streaming
+    churn."""
 
     @pytest.fixture(scope="class")
     def model(self):
         train = DedupCorpusGenerator(seed=103).generate(n_entities=60)
         return DedupModel(seed=0).fit(train.pairs)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_thread_workers_share_one_kernel(self, model, workers):
-        records = _random_records(81, n=40) + DedupCorpusGenerator(seed=82).generate(
-            n_entities=20, variants_per_entity=2
-        ).records
-        by_id = {r.record_id: r for r in records}
-        pairs = _all_pairs(records)[::3]
-        serial = BatchScorer(
-            model, executor=ShardedExecutor(ExecConfig(parallelism=1))
-        )
-        kernel = ScoringKernel()
-        threaded = BatchScorer(
-            model,
-            executor=ShardedExecutor(
-                ExecConfig(parallelism=workers, batch_size=23, backend="thread")
-            ),
-            kernel=kernel,
-        )
-        allocating = []
-        allocate = kernel._allocate_row
-
-        def tracked_allocate():
-            allocating.append(threading.current_thread())
-            return allocate()
-
-        kernel._allocate_row = tracked_allocate
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for round_index in range(3):
-                expected = serial.featurize_pairs(by_id, pairs)
-                assert np.array_equal(threaded.featurize_pairs(by_id, pairs), expected)
-                # re-intern a few records (rows retire and are reused)
-                for record in records[round_index :: 7]:
-                    values = dict(record.as_dict(), note=f"round {round_index}")
-                    by_id[record.record_id] = Record.from_dict(
-                        record.record_id, "s", values
-                    )
-        finally:
-            sys.setswitchinterval(interval)
-        # worker threads only read the row tables
-        assert allocating and set(allocating) == {threading.main_thread()}
 
     def test_python_calls_do_not_scale_with_pairs(self, model):
         corpus = DedupCorpusGenerator(seed=84).generate(

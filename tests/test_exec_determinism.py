@@ -29,8 +29,26 @@ def model(corpus):
     return DedupModel(seed=0).fit(corpus.pairs)
 
 
+_EXECUTORS = []
+
+
 def make_executor(workers: int = 8) -> ShardedExecutor:
-    return ShardedExecutor(ExecConfig(parallelism=workers, batch_size=32))
+    """A fresh executor; its process pool is closed when the module ends."""
+    executor = ShardedExecutor(ExecConfig(parallelism=workers, batch_size=32))
+    _EXECUTORS.append(executor)
+    return executor
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_executors():
+    yield
+    for executor in _EXECUTORS:
+        executor.close()
+    _EXECUTORS.clear()
+
+
+def _one_over_first(part):
+    return 1 // part[0]
 
 
 class TestShardAssignmentStability:
@@ -71,7 +89,7 @@ class TestShardAssignmentStability:
         executor.map_shards(sum, [[1], [2], [3]])
         assert len(executor.last_shard_timings) == 3
         with pytest.raises(ZeroDivisionError):
-            executor.map_shards(lambda part: 1 // part[0], [[1], [0]])
+            executor.map_shards(_one_over_first, [[1], [0]])
         assert executor.last_shard_timings == []
 
 

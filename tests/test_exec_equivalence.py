@@ -55,11 +55,30 @@ def random_records(seed: int, n: int = 80):
     return records
 
 
+_EXECUTORS = {}
+
+
 def executor_for(workers: int, batch_size: int = 17) -> ShardedExecutor:
-    """A thread-pool executor with a deliberately odd batch size."""
-    return ShardedExecutor(
-        ExecConfig(parallelism=workers, batch_size=batch_size)
-    )
+    """An executor with a deliberately odd batch size.
+
+    One executor — and so one warm process pool — per (workers, batch
+    size), shared by the whole module: later tests re-sync records that
+    earlier ones shipped, which exercises the warm-state deltas too.
+    """
+    key = (workers, batch_size)
+    if key not in _EXECUTORS:
+        _EXECUTORS[key] = ShardedExecutor(
+            ExecConfig(parallelism=workers, batch_size=batch_size)
+        )
+    return _EXECUTORS[key]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _close_shared_executors():
+    yield
+    for executor in _EXECUTORS.values():
+        executor.close()
+    _EXECUTORS.clear()
 
 
 @pytest.fixture(scope="module")
@@ -184,22 +203,6 @@ class TestConsolidationEquivalence:
         par.consolidate(records)
         assert par.last_report.as_dict() == seq.last_report.as_dict()
 
-    def test_serial_backend_runs_fan_out_inline_identically(self, corpus, model):
-        """backend='serial' must execute the shard functions (inline) and
-        still match the sequential path — the documented debugging mode."""
-        records = corpus.records[:40]
-        sequential = EntityConsolidator(model=model).consolidate(records)
-        executor = ShardedExecutor(
-            ExecConfig(parallelism=4, batch_size=32, backend="serial")
-        )
-        assert executor.fans_out and not executor.is_parallel
-        parallel = EntityConsolidator(
-            model=model, executor=executor
-        ).consolidate(records)
-        assert parallel == sequential
-        # the fan-out really ran: per-shard timings were recorded
-        assert executor.last_shard_timings
-
     def test_process_backend_identical(self, corpus, model):
         records = corpus.records[:40]
         sequential = EntityConsolidator(model=model).consolidate(records)
@@ -214,21 +217,17 @@ class TestConsolidationEquivalence:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("pool", ("persistent", "ephemeral"))
-    def test_process_pool_flavours_identical(self, corpus, model, pool):
-        """Pool on/off must not change a single bit of the output.
+    def test_warm_pool_rerun_identical(self, corpus, model):
+        """The pool must not change a single bit of the output, warm or not.
 
-        The persistent flavour routes every fan-out (blocking, warm-state
-        scoring, cluster merging) through long-lived workers; the ephemeral
-        flavour spawns a pool per fan-out.  Both must equal the sequential
-        path exactly — the deeper lifecycle suite lives in
-        tests/test_exec_pool.py.
+        Every fan-out (blocking, warm-state scoring, cluster merging) runs
+        on long-lived workers; the first run ships the records, the rerun
+        finds them warm.  Both must equal the sequential path exactly — the
+        deeper lifecycle suite lives in tests/test_exec_pool.py.
         """
         records = corpus.records
         sequential = EntityConsolidator(model=model).consolidate(records)
-        executor = ShardedExecutor(
-            ExecConfig(parallelism=2, batch_size=64, backend="process", pool=pool)
-        )
+        executor = ShardedExecutor(ExecConfig(parallelism=2, batch_size=64))
         try:
             parallel = EntityConsolidator(
                 model=model, executor=executor
@@ -256,15 +255,7 @@ class TestWarmShardBlocking:
     """
 
     def _warm_executor(self):
-        return ShardedExecutor(
-            ExecConfig(
-                parallelism=2,
-                batch_size=64,
-                backend="process",
-                pool="persistent",
-                warm_state=True,
-            )
-        )
+        return ShardedExecutor(ExecConfig(parallelism=2, batch_size=64))
 
     @pytest.mark.parametrize(
         "make_blocker",
@@ -321,7 +312,7 @@ class TestInWorkerAssembly:
     """Chunk workers featurize *and* classify; parents get scores + decisions.
 
     The shipped probabilities must be bit-identical to
-    :meth:`DedupModel.score_pairs` on every backend and worker count, and
+    :meth:`DedupModel.score_pairs` at every worker count, and
     the shipped decisions must be exactly ``probability >= threshold`` under
     those same floats — the consolidator trusts them without re-deriving.
     """
@@ -332,7 +323,7 @@ class TestInWorkerAssembly:
         return by_id, sorted(TokenBlocker(max_block_size=60).block(records).pairs)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_thread_backend_scores_and_decisions(self, corpus, model, workers):
+    def test_scores_and_decisions(self, corpus, model, workers):
         by_id, candidates = self._candidates(corpus)
         sequential = model.score_pairs(by_id, candidates)
         scorer = BatchScorer(model, executor=executor_for(workers))
@@ -341,14 +332,17 @@ class TestInWorkerAssembly:
         assert decided == {
             pair for pair, prob in sequential.items() if prob >= model.threshold
         }
+        # a second pass over a warm pool must not drift
+        scores2, decided2 = scorer.score_and_decide(by_id, candidates)
+        assert scores2 == sequential and decided2 == decided
 
-    @pytest.mark.parametrize("pool", ("persistent", "ephemeral"))
-    def test_process_backends_scores_and_decisions(self, corpus, model, pool):
+    def test_fresh_pool_cold_then_warm_scores_and_decisions(self, corpus, model):
+        """A pool of its own: the cold first pass ships the records, the warm
+        second pass reuses them (no respawn, nothing re-shipped), and both
+        passes match the model exactly."""
         by_id, candidates = self._candidates(corpus)
         sequential = model.score_pairs(by_id, candidates)
-        executor = ShardedExecutor(
-            ExecConfig(parallelism=2, batch_size=64, backend="process", pool=pool)
-        )
+        executor = ShardedExecutor(ExecConfig(parallelism=2, batch_size=64))
         try:
             scorer = BatchScorer(model, executor=executor)
             scores, decided = scorer.score_and_decide(by_id, candidates)
@@ -356,9 +350,13 @@ class TestInWorkerAssembly:
             assert decided == {
                 pair for pair, prob in sequential.items() if prob >= model.threshold
             }
-            # a second pass over a warm pool must not drift
+            pool = executor.ensure_pool()
+            starts, shipped = pool.start_count, pool.records_shipped
+            assert shipped > 0
             scores2, decided2 = scorer.score_and_decide(by_id, candidates)
             assert scores2 == sequential and decided2 == decided
+            assert pool.start_count == starts
+            assert pool.records_shipped == shipped
         finally:
             executor.close()
 
@@ -402,10 +400,13 @@ class TestFacadeEquivalence:
 
         def consolidate(parallelism):
             tamer = DataTamer(TamerConfig.small(), parallelism=parallelism)
-            tamer.ingest_structured_records("playbill", rows[:3])
-            tamer.ingest_structured_records("ticketmaster", rows[3:])
-            tamer.set_dedup_model(model)
-            return tamer.consolidate_curated(key_attribute="name")
+            try:
+                tamer.ingest_structured_records("playbill", rows[:3])
+                tamer.ingest_structured_records("ticketmaster", rows[3:])
+                tamer.set_dedup_model(model)
+                return tamer.consolidate_curated(key_attribute="name")
+            finally:
+                tamer.close()
 
         sequential = consolidate(1)
         parallel = consolidate(4)
@@ -417,7 +418,8 @@ class TestFacadeEquivalence:
         tamer.set_parallelism(4, batch_size=64)
         assert tamer.parallelism == 4
         assert tamer.batch_size == 64
-        assert tamer.executor.is_parallel
+        assert tamer.executor.fans_out
+        tamer.close()
 
 
 class TestQueryEquivalence:

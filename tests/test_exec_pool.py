@@ -16,6 +16,7 @@ Both halves are enforced here over seeded corpora.
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -49,14 +50,11 @@ def _crash_once(arg):
     return value * value
 
 
-def pooled_executor(workers=2, batch_size=64, warm_state=True, idle_timeout=0.0):
+def pooled_executor(workers=2, batch_size=64, idle_timeout=0.0):
     return ShardedExecutor(
         ExecConfig(
             parallelism=workers,
             batch_size=batch_size,
-            backend="process",
-            pool="persistent",
-            warm_state=warm_state,
             pool_idle_timeout=idle_timeout,
         )
     )
@@ -81,25 +79,36 @@ def sequential_entities(corpus, model):
 
 class TestConfig:
     def test_pool_knobs_validate(self):
-        ExecConfig(backend="process", pool="persistent").validate()
-        ExecConfig(backend="process", pool="ephemeral").validate()
+        ExecConfig(pool_idle_timeout=0.0).validate()
         with pytest.raises(ConfigError):
             ExecConfig(pool="bogus").validate()
         with pytest.raises(ConfigError):
             ExecConfig(pool_idle_timeout=-1.0).validate()
 
+    def test_removed_backends_and_pool_flavours_are_rejected(self):
+        # the curate_pool2 benchmark workload's configuration still validates
+        config = ExecConfig(parallelism=2, backend="process", pool="persistent")
+        config.validate()
+        assert config == ExecConfig(parallelism=2)
+        for removed in (
+            ExecConfig(parallelism=2, backend="thread"),
+            ExecConfig(parallelism=2, backend="serial"),
+            ExecConfig(parallelism=2, pool="ephemeral"),
+        ):
+            with pytest.raises(ConfigError, match="removed"):
+                removed.validate()
+
     def test_only_process_backend_uses_the_pool(self):
-        assert pooled_executor().uses_persistent_pool
-        thread = ShardedExecutor(
-            ExecConfig(parallelism=4, backend="thread", pool="persistent")
-        )
-        assert not thread.uses_persistent_pool
-        ephemeral = ShardedExecutor(
-            ExecConfig(parallelism=4, backend="process", pool="ephemeral")
-        )
-        assert not ephemeral.uses_persistent_pool
+        executor = pooled_executor()
+        try:
+            assert executor.fans_out
+            assert executor.ensure_pool() is executor.pool
+        finally:
+            executor.close()
+        inline = ShardedExecutor(ExecConfig(parallelism=1))
+        assert not inline.fans_out
         with pytest.raises(TamerError):
-            ephemeral.ensure_pool()
+            inline.ensure_pool()
 
     def test_pool_is_lazy(self):
         executor = pooled_executor()
@@ -126,6 +135,14 @@ class TestRunTasks:
             assert not pool.running
             results, _ = pool.run_tasks([(_square, n) for n in range(4)])
             assert results == [0, 1, 4, 9]
+
+    def test_unpicklable_task_raises_and_leaks_no_stale_result(self):
+        with PersistentWorkerPool(workers=2) as pool:
+            # task 0 is already out on a worker when task 1 fails to pickle
+            with pytest.raises(TamerError, match="must pickle"):
+                pool.run_tasks([(_square, 2), (_square, threading.Lock())])
+            results, _ = pool.run_tasks([(_square, 3), (_square, 4)])
+            assert results == [9, 16]
 
     def test_closed_pool_rejects_work(self):
         pool = PersistentWorkerPool(workers=1)
@@ -272,18 +289,6 @@ class TestPooledEquivalence:
         finally:
             executor.close()
 
-    def test_warm_state_off_is_identical_too(
-        self, corpus, model, sequential_entities
-    ):
-        executor = pooled_executor(warm_state=False)
-        try:
-            pooled = EntityConsolidator(
-                model=model, executor=executor
-            ).consolidate(corpus.records)
-            assert pooled == sequential_entities
-        finally:
-            executor.close()
-
     def test_shard_timings_split_queue_from_compute(self, corpus, model):
         executor = pooled_executor(batch_size=16)
         try:
@@ -307,9 +312,7 @@ class TestFacadeLifecycle:
         the old executor is retired and closed with the facade."""
         from repro import DataTamer, TamerConfig
 
-        tamer = DataTamer(
-            TamerConfig.parallel(workers=2, batch_size=32, backend="process")
-        )
+        tamer = DataTamer(TamerConfig.parallel(workers=2, batch_size=32))
         for record in corpus.records[:30]:
             row = dict(record.as_dict())
             row["_source"] = record.source_id
@@ -528,11 +531,7 @@ class TestWarmContexts:
     def test_executor_passthrough_requires_warm_pool(self):
         serial = ShardedExecutor(ExecConfig(parallelism=1))
         assert not serial.sync_warm_context("k", 1, "v")
-        threaded = ShardedExecutor(ExecConfig(parallelism=2, backend="thread"))
-        assert not threaded.sync_warm_context("k", 1, "v")
-        pooled = ShardedExecutor(
-            ExecConfig(parallelism=2, backend="process", pool="persistent")
-        )
+        pooled = ShardedExecutor(ExecConfig(parallelism=2))
         try:
             assert pooled.sync_warm_context("k", 1, "v")
         finally:
@@ -557,9 +556,7 @@ class TestWarmContexts:
         from repro import DataTamer, StreamConfig, TamerConfig
 
         config = TamerConfig.small()
-        config.execution = ExecConfig(
-            parallelism=2, backend="process", pool="persistent"
-        )
+        config.execution = ExecConfig(parallelism=2)
         config.stream = StreamConfig(schema_integration=True)
         tamer = DataTamer(config.validate())
         corpus = DedupCorpusGenerator(seed=13).generate(
@@ -654,14 +651,7 @@ class TestDispatchDeadline:
             PersistentWorkerPool(workers=1, dispatch_deadline=-1.0)
 
     def test_deadline_threads_through_executor(self):
-        executor = ShardedExecutor(
-            ExecConfig(
-                parallelism=2,
-                backend="process",
-                pool="persistent",
-                dispatch_deadline=1.5,
-            )
-        )
+        executor = ShardedExecutor(ExecConfig(parallelism=2, dispatch_deadline=1.5))
         try:
             assert executor.ensure_pool().dispatch_deadline == 1.5
         finally:

@@ -93,7 +93,6 @@ def _mutate(rng: random.Random, doc: dict) -> dict:
 
 def _build_tamer(
     workers: int = 1,
-    backend: str = "thread",
     max_batch_size: int = 16,
     expert_router=None,
     true_mapping=None,
@@ -109,9 +108,7 @@ def _build_tamer(
         schema_integration=True,
     )
     if workers > 1:
-        config.execution = ExecConfig(
-            parallelism=workers, backend=backend, batch_size=64
-        )
+        config.execution = ExecConfig(parallelism=workers, batch_size=64)
     tamer = DataTamer(
         config.validate(),
         expert_router=expert_router,
@@ -269,14 +266,11 @@ def test_expert_escalation_replay_is_deterministic(seed):
     assert stats.escalations_replayed > 0 and stats.escalations_asked == 0
 
 
-@pytest.mark.parametrize(
-    "workers,backend",
-    ((1, "thread"), (2, "thread"), (8, "process")),
-)
-def test_worker_fanout_is_bit_identical(workers, backend):
-    """Matcher-scoring fan-out — including the 8-worker persistent pool's
-    warm context path — never changes a score."""
-    tamer = _build_tamer(workers=workers, backend=backend)
+@pytest.mark.parametrize("workers", (1, 2, 8))
+def test_worker_fanout_is_bit_identical(workers):
+    """Matcher-scoring fan-out on the persistent pool's warm context path,
+    at 2 and 8 workers, never changes a score."""
+    tamer = _build_tamer(workers=workers)
     try:
         stream = _drive_and_check(tamer, seed=1, steps=12, checkpoint=6)
         integrator = stream.integrator
@@ -385,7 +379,7 @@ def test_warm_version_is_monotonic_across_rebuilds():
 def test_pool_fanout_stays_identical_across_rebuild_and_restart():
     """The warm context survives the full lifecycle: bootstrap fan-out,
     rebuild fallback, a second stream on the same pool."""
-    tamer = _build_tamer(workers=8, backend="process")
+    tamer = _build_tamer(workers=8)
     try:
         stream = _drive_and_check(tamer, seed=3, steps=6, checkpoint=6)
         stream.full_rebuild()
