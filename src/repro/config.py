@@ -29,7 +29,6 @@ class StorageConfig:
 
     extent_size_bytes: int = 2 * 1024 * 1024
     num_shards: int = 4
-    default_index_fields: tuple = ("_id",)
 
     def validate(self) -> None:
         if self.extent_size_bytes <= 0:
@@ -201,11 +200,11 @@ class StreamConfig:
     empty collection after a crash — reproducing the live curated state
     bit-identically.
 
-    ``compact_on_rebuild`` truncates the changelog whenever the engine runs
-    a full rebuild: the replayed history is atomically replaced by a fresh
-    bootstrap snapshot of the collection, so recovery cost stops growing
-    with stream lifetime.  ``fault_plan`` arms fault injection on the
-    stream's fault points (``changelog.write``, ``scheduler.drain``).
+    Every full rebuild compacts the changelog: the replayed history is
+    atomically replaced by a fresh bootstrap snapshot of the collection, so
+    recovery cost stops growing with stream lifetime.  ``fault_plan`` arms
+    fault injection on the stream's fault points (``changelog.write``,
+    ``scheduler.drain``).
     """
 
     max_batch_size: int = 256
@@ -213,7 +212,6 @@ class StreamConfig:
     rebuild_threshold: int = 10_000
     schema_integration: bool = False
     changelog_path: Optional[str] = None
-    compact_on_rebuild: bool = True
     fault_plan: Optional[FaultPlan] = None
 
     def validate(self) -> None:
@@ -308,7 +306,6 @@ class ObsConfig:
     receives the shared no-op instruments and tracing context managers
     collapse to near-zero cost (the CI overhead gate holds the enabled
     path within 5% of disabled throughput, so the default is on).
-    ``tracing`` controls span recording independently of metrics;
     ``trace_buffer`` bounds how many finished spans the in-memory ring
     retains for the ``metrics`` op's trace summary.
     ``trace_sample_every`` thins the highest-rate span site — the serve
@@ -328,7 +325,6 @@ class ObsConfig:
     """
 
     enabled: bool = True
-    tracing: bool = True
     trace_buffer: int = 1024
     trace_sample_every: int = 10
     snapshot_path: Optional[str] = None
@@ -360,15 +356,12 @@ class ExpertConfig:
 
     max_tasks_per_expert: int = 1000
     min_answers_per_task: int = 1
-    default_expert_accuracy: float = 0.95
 
     def validate(self) -> None:
         if self.max_tasks_per_expert <= 0:
             raise ConfigError("max_tasks_per_expert must be positive")
         if self.min_answers_per_task <= 0:
             raise ConfigError("min_answers_per_task must be positive")
-        if not 0.0 <= self.default_expert_accuracy <= 1.0:
-            raise ConfigError("default_expert_accuracy must be in [0, 1]")
 
 
 @dataclass

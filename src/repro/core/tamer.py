@@ -194,19 +194,15 @@ class DataTamer:
     ) -> None:
         """Reconfigure the execution engine (e.g. to A/B parallel vs serial).
 
-        A live stream's operators are *offered* the new executor through
-        the :meth:`~repro.stream.operators.DeltaOperator.sync_executor`
-        hook; operators whose fan-out state lives in warm pool workers (the
-        entity curator) decline and keep the executor they were born with —
-        that executor is retired rather than closed, and :meth:`close`
-        shuts it down with everything else.
+        A live stream keeps the executor it was started with (the entity
+        curator's warm pool state lives in its workers): that executor is
+        retired rather than closed, and :meth:`close` shuts it down with
+        everything else.  Without a live stream the old executor closes.
         """
         self.config = self.config.with_parallelism(workers, batch_size=batch_size)
         old = self._executor
         self._executor = ShardedExecutor(self.config.execution, hub=self._hub)
         if self._stream is not None and not self._stream.closed:
-            for operator in self._stream.operators:
-                operator.sync_executor(self._executor)
             self._retired_executors.append(old)
         else:
             # the old executor may own persistent pool workers — stop them
@@ -537,7 +533,7 @@ class DataTamer:
         entities = self.consolidate_curated(
             key_attribute=key_attribute, merge_policy=merge_policy
         )
-        return QueryEngine(entities, executor=self._executor)
+        return QueryEngine(entities)
 
     def create_server(
         self,

@@ -60,10 +60,6 @@ class IndexError_(StorageError):
     """
 
 
-class TableError(StorageError):
-    """Raised for relational-table failures (unknown table, bad column)."""
-
-
 class SchemaError(TamerError):
     """Base class for schema-integration failures."""
 

@@ -178,10 +178,10 @@ class ShardedExecutor:
         """Ship a named shared context to the persistent pool workers.
 
         The warm path for fan-outs whose workers need shared state that is
-        not per-record (e.g. the streaming schema integrator's
-        global-profile table): the value is broadcast once per ``version``
-        through :meth:`~repro.exec.pool.PersistentWorkerPool.sync_context`
-        and workers read it back with :func:`~repro.exec.pool.warm_context`.
+        not per-record (e.g. blocking's scope id set): the value is
+        broadcast once per ``version`` through
+        :meth:`~repro.exec.pool.PersistentWorkerPool.sync_context` and
+        workers read it back with :func:`~repro.exec.pool.warm_context`.
         Returns ``False`` (a no-op) for a ``parallelism == 1`` executor,
         whose inline fan-outs share the caller's memory anyway.
         """
@@ -189,16 +189,6 @@ class ShardedExecutor:
             return False
         self.ensure_pool().sync_context(key, version, value)
         return True
-
-    def drop_warm_context(self, key: str) -> bool:
-        """Evict a named shared context from the pool (owner teardown).
-
-        A no-op (``False``) when no persistent pool has been started — there
-        is nothing holding the context in that case.
-        """
-        if self._pool is None:
-            return False
-        return self._pool.drop_context(key)
 
     def request_pool(self, max_workers: Optional[int] = None) -> ThreadPoolExecutor:
         """The long-lived thread pool request serving hands evaluation to.

@@ -79,9 +79,8 @@ class _WarmState:
         self.records: Dict[str, Any] = {}
         self.kernels: Dict[Optional[Tuple[str, ...]], Any] = {}
         #: named broadcast contexts: key -> (version, value).  The generic
-        #: warm channel for non-record state (e.g. the schema integrator's
-        #: global-profile table) shipped once per version instead of per
-        #: chunk payload.
+        #: warm channel for non-record state (e.g. blocking's scope id set)
+        #: shipped once per version instead of per chunk payload.
         self.contexts: Dict[str, Tuple[int, Any]] = {}
         self.syncs_applied = 0
 
@@ -303,9 +302,6 @@ def _worker_main(
             _, key, version, value = message
             _WORKER_STATE.contexts[key] = (version, value)
             continue
-        if kind == "context-drop":
-            _WORKER_STATE.contexts.pop(message[1], None)
-            continue
         # ("call", index, func, arg, attempt)
         _, index, func, arg, attempt = message
         start = time.perf_counter()
@@ -362,6 +358,13 @@ def _terminate_workers(box: List[_Worker]) -> None:
                 worker.process.terminate()
         except Exception:
             pass
+
+
+def _idle_check_weak(pool_ref) -> None:
+    """Idle-timer callback: run the pool's idle check if it still exists."""
+    pool = pool_ref()
+    if pool is not None:
+        pool._idle_check()
 
 
 class PersistentWorkerPool:
@@ -648,7 +651,11 @@ class PersistentWorkerPool:
         self._cancel_idle_timer()
         if self._idle_timeout <= 0 or self._workers is None:
             return
-        timer = threading.Timer(self._idle_timeout, self._idle_check)
+        # the timer holds only a weak reference: a pending timer must not
+        # keep an unreferenced pool (and its workers) alive until it fires
+        timer = threading.Timer(
+            self._idle_timeout, _idle_check_weak, args=(weakref.ref(self),)
+        )
         timer.daemon = True
         timer.start()
         self._idle_timer = timer
@@ -727,12 +734,12 @@ class PersistentWorkerPool:
     def sync_context(self, key: str, version: int, value: Any) -> bool:
         """Broadcast a named context to every worker, once per version.
 
-        The generic warm channel for non-record shared state (the schema
-        integrator ships its global-profile table through this): a context
-        already at ``version`` is not re-sent, a freshly spawned or
-        respawned worker receives every context before any task (the pipe
-        is FIFO), and a worker that died since the last batch is respawned
-        with the post-sync state.  Returns whether anything was shipped.
+        The generic warm channel for non-record shared state (blocking
+        ships its scope id set through this): a context already at
+        ``version`` is not re-sent, a freshly spawned or respawned worker
+        receives every context before any task (the pipe is FIFO), and a
+        worker that died since the last batch is respawned with the
+        post-sync state.  Returns whether anything was shipped.
         """
         with self._lock:
             self._ensure_started()
@@ -760,28 +767,6 @@ class PersistentWorkerPool:
             self._m_context_ships.inc()
             self._touch()
             return True
-
-    def drop_context(self, key: str) -> bool:
-        """Forget a named context everywhere (owner teardown).
-
-        Streams come and go while the pool lives for the whole session;
-        without eviction every dead owner's context would stay pinned in
-        the parent and be re-shipped to every spawned worker forever.
-        Returns whether the key was known.  Never *starts* workers: a
-        stopped pool just forgets the parent copy (fresh workers only
-        receive what remains in ``_warm_contexts``).
-        """
-        with self._lock:
-            known = self._warm_contexts.pop(key, None) is not None
-            if known and self._workers is not None:
-                for worker in self._workers:
-                    try:
-                        worker.connection.send(("context-drop", key))
-                    except (BrokenPipeError, OSError):
-                        # dead worker: the reaper respawns it later with the
-                        # post-drop context set, which no longer has the key
-                        pass
-            return known
 
     # -- fan-out -----------------------------------------------------------
 

@@ -73,7 +73,6 @@ class TelemetryHub:
             return cls()
         return cls(
             enabled=config.enabled,
-            tracing=config.tracing,
             trace_buffer=config.trace_buffer,
             trace_sample_every=config.trace_sample_every,
             snapshot_path=config.snapshot_path,

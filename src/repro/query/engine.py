@@ -2,9 +2,9 @@
 
 After ingestion, schema integration and consolidation, the system holds a set
 of composite entity records expressed in the global schema.  The query engine
-answers the demo-style questions over them: equality lookups, predicate
-filters, keyword search over text attributes, and the "lookup by show name"
-query used for Tables V and VI.
+answers the demo-style questions over them: equality lookups, keyword
+search over text attributes, the "lookup by show name" query used for
+Tables V and VI, and SQL over the pinned snapshot.
 
 The engine is safe to read concurrently with streaming invalidation: its
 entity state lives in one immutable :class:`~repro.query.snapshot
@@ -18,11 +18,10 @@ entities, never an entity list paired with the wrong watermark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..entity.consolidation import ConsolidatedEntity
 from ..errors import QueryError
-from ..exec.executor import ShardedExecutor
 from ..text.normalize import TextNormalizer
 from ..text.tokenizer import tokenize
 from .snapshot import EntitySnapshot
@@ -78,15 +77,12 @@ class QueryEngine:
     """Query consolidated entities expressed in the global schema.
 
     Every query scans the pinned snapshot inline; a process fan-out would
-    ship the snapshot to the pool workers on every request.  ``executor``
-    is accepted from callers that hand over their session's executor and
-    is not used.
+    ship the snapshot to the pool workers on every request.
     """
 
     def __init__(
         self,
         entities: Iterable[ConsolidatedEntity],
-        executor: Optional[ShardedExecutor] = None,
         watermark: Optional[int] = None,
         schema_watermark: Optional[int] = None,
     ):
@@ -97,11 +93,7 @@ class QueryEngine:
         )
 
     @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: EntitySnapshot,
-        executor: Optional[ShardedExecutor] = None,
-    ) -> "QueryEngine":
+    def from_snapshot(cls, snapshot: EntitySnapshot) -> "QueryEngine":
         """An engine reading a specific published snapshot (shared, not
         copied) — how server workers evaluate against a pinned view."""
         engine = cls.__new__(cls)
@@ -198,16 +190,6 @@ class QueryEngine:
             and entity.attributes.get(attribute) not in (None, "")
         ]
         return QueryResult(entities=matches)
-
-    def find_where(
-        self, predicate: Callable[[Dict[str, Any]], bool]
-    ) -> QueryResult:
-        """Entities whose attribute dictionary satisfies ``predicate``."""
-        return QueryResult(
-            entities=[
-                e for e in self._snapshot.entities if predicate(e.attributes)
-            ]
-        )
 
     def search(
         self, phrase: str, attributes: Optional[Sequence[str]] = None

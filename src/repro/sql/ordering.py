@@ -1,17 +1,16 @@
-"""The total value ordering shared by SQL and the relational landing zone.
+"""The total value ordering shared by every ordered SQL path.
 
 SQL ``ORDER BY``, ``GROUP BY`` and ``DISTINCT`` need a *total, deterministic*
 order over whatever values a column actually holds — including ``None`` and
 mixed types, which Python's ``<`` refuses to compare.  :func:`sort_key`
-defines that order once; :meth:`repro.storage.relational.Table.select`,
-:meth:`~repro.storage.relational.Table.distinct` and the SQL executor's
-per-column ranks (:class:`repro.sql.catalog.ColumnOrder`) all sort through
-it, so every surface agrees.
+defines that order once; the SQL executor's sorts and its per-column ranks
+(:class:`repro.sql.catalog.ColumnOrder`) all go through it, so every
+ordered path agrees.
 
 The order, ascending:
 
 1. non-null values before ``None`` (``None`` sorts last ascending, first
-   descending — matching the landing zone's historical ``order_by``);
+   descending);
 2. within non-null values, by type class: numbers (``bool`` counts as its
    numeric value), then strings, then everything else;
 3. within a class, the natural order (numeric, lexicographic, or ``repr``

@@ -1,21 +1,17 @@
 """Storage substrates for the Data Tamer reproduction.
 
-Two storage engines live here; the first backs the system:
-
-* :class:`DocumentStore` — a sharded, extent-based semi-structured document
-  store standing in for the MongoDB cluster that held the ``dt.instance``
-  (WEBINSTANCE) and ``dt.entity`` (WEBENTITIES) collections.  Its
-  ``Collection.stats()`` output mirrors ``db.collection.stats()`` so the
-  paper's Tables I and II can be regenerated directly.
-* :class:`RelationalStore` — a small in-memory relational engine.  Nothing
-  in the system writes to it any more (the SQL frontend executes over
-  columns of the pinned entity snapshot); only its own tests use it.
+:class:`DocumentStore` is a sharded, extent-based semi-structured document
+store standing in for the MongoDB cluster that held the ``dt.instance``
+(WEBINSTANCE) and ``dt.entity`` (WEBENTITIES) collections.  Its
+``Collection.stats()`` output mirrors ``db.collection.stats()`` so the
+paper's Tables I and II can be regenerated directly.  The SQL frontend
+(:mod:`repro.sql`) executes over columns of the pinned entity snapshot, not
+over a store of its own.
 """
 
 from .document_store import Collection, CollectionStats, DocumentStore
 from .index import HashIndex, InvertedIndex
 from .persistence import dump_collection, dump_store, load_collection, load_store
-from .relational import Column, RelationalStore, Row, Table
 from .sharding import ExtentAllocator, ShardRouter
 
 __all__ = [
@@ -28,10 +24,6 @@ __all__ = [
     "load_store",
     "HashIndex",
     "InvertedIndex",
-    "Column",
-    "RelationalStore",
-    "Row",
-    "Table",
     "ExtentAllocator",
     "ShardRouter",
 ]

@@ -143,8 +143,9 @@ class DeltaCurator(DeltaOperator):
     Implements the :class:`~repro.stream.operators.DeltaOperator` contract
     (the host feeds it coalesced batches through :meth:`apply`); the
     historic :meth:`apply_events` entry point remains for direct drivers.
-    ``sync_executor`` keeps the default *decline*: the executor may own
-    warm pool workers holding this curator's interned records.
+    It keeps the executor it was built with for its whole life: that
+    executor may own warm pool workers holding this curator's interned
+    records.
     """
 
     name = "entity"

@@ -13,10 +13,7 @@ proportional to the delta rather than the corpus:
 * source↔global attribute pairs are re-scored through
   :class:`~repro.schema.matchers.CompositeMatcher` only when either side's
   profile changed — unchanged pairs replay a memoized
-  :class:`~repro.schema.matchers.MatcherScore`; when many pairs miss at
-  once (bootstrap, a reshaped source) scoring fans out over the sharded
-  executor, with a warm path that ships the global-profile table to
-  persistent pool workers once per schema epoch;
+  :class:`~repro.schema.matchers.MatcherScore`;
 * expert escalations are recorded and **replayed deterministically**: a
   cascade re-run (or the batch oracle) asking the same question gets the
   recorded answer instead of re-consulting a possibly stochastic expert.
@@ -51,8 +48,6 @@ fallback and changelog crash recovery rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import count
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..config import SchemaConfig
@@ -69,9 +64,6 @@ from ..schema.matchers import CompositeMatcher, MatcherScore
 from .changelog import ChangeEvent
 from .operators import DeltaOperator
 from .scheduler import DeltaBatch
-
-#: Fan scoring out only when at least this many pairs miss the memo.
-_SCORE_FANOUT_FLOOR = 16
 
 _MISSING = object()
 
@@ -139,25 +131,6 @@ class SchemaRefreshStats:
             "escalations_asked": self.escalations_asked,
             "escalations_replayed": self.escalations_replayed,
         }
-
-
-def _score_profile_shard_warm(key: str, weights: Dict[str, float], chunk):
-    """Score one chunk of (name, profile, global-index) items in a pool worker.
-
-    The global ``(name, profile)`` table was shipped once via
-    :meth:`~repro.exec.pool.PersistentWorkerPool.sync_context`, so the chunk
-    payload carries only the source side of each pair.  The matcher is a
-    pure function of the *raw* config weights, so worker-side scores are
-    bit-identical to inline ones.
-    """
-    from ..exec.pool import warm_context
-
-    table = warm_context(key)
-    matcher = CompositeMatcher(weights)
-    return [
-        matcher.score(name, profile, table[index][0], table[index][1])
-        for name, profile, index in chunk
-    ]
 
 
 class _SourceMirror:
@@ -419,25 +392,14 @@ class DeltaIntegrator(DeltaOperator):
         self,
         config: Optional[SchemaConfig] = None,
         expert: Optional[ExpertOracle] = None,
-        executor=None,
         source_id: str = "curated",
     ):
         super().__init__()
         self._config = config or SchemaConfig()
         self._config.validate()
         self._expert = expert
-        self._executor = executor
         self._default_source = source_id
         self._matcher = CompositeMatcher(self._config.matcher_weights)
-        self._warm_context_key = (
-            f"schema-matcher:{next(DeltaIntegrator._context_counter)}"
-        )
-        #: monotonically increasing across the integrator's whole lifetime —
-        #: never reset by rebuild(): the pool parent still holds the last
-        #: shipped (version, table) under our key, and a version that
-        #: counted up to a previously-used number would make sync_context
-        #: silently skip the ship and leave workers on a stale table
-        self._warm_version = 0
         #: expert replay log: (source, attr, candidate, composite) -> answer
         self._expert_log: Dict[Tuple[str, str, str, float], bool] = {}
         self._reset_state()
@@ -459,7 +421,6 @@ class DeltaIntegrator(DeltaOperator):
         self._merge_memo = _GenerationMemo()
         self._schema = GlobalSchema(profile_merger=self._memoized_merge)
         self._integrator: Optional[_CascadeIntegrator] = None
-        self._warm_table: Optional[tuple] = None
         self._dirty = False
         self._last_stats: Optional[SchemaRefreshStats] = None
         self._pairs_scored = 0
@@ -551,7 +512,7 @@ class DeltaIntegrator(DeltaOperator):
         self._escalations_asked += 1
         return answer
 
-    # -- scoring fan-out ---------------------------------------------------
+    # -- scoring ---------------------------------------------------------
 
     def _score_pairs(
         self,
@@ -559,42 +520,12 @@ class DeltaIntegrator(DeltaOperator):
         attributes: Sequence[Attribute],
     ) -> List[MatcherScore]:
         """Scores for (source name, source profile, global index) items."""
-        executor = self._executor
-        if (
-            executor is None
-            or not executor.fans_out
-            or len(items) < _SCORE_FANOUT_FLOOR
-        ):
-            return [
-                self._matcher.score(
-                    name, profile, attributes[index].name, attributes[index].profile
-                )
-                for name, profile, index in items
-            ]
-        table = tuple(
-            (attribute.name, attribute.profile) for attribute in attributes
-        )
-        weights = self._config.matcher_weights
-        # the global-profile table ships to the pool workers once per
-        # schema epoch; chunk payloads carry only the source side
-        if self._warm_table is None or not _same_table(self._warm_table, table):
-            self._warm_version += 1
-            self._warm_table = table
-        executor.sync_warm_context(self._warm_context_key, self._warm_version, table)
-        worker = partial(_score_profile_shard_warm, self._warm_context_key, weights)
-        shard_results = executor.map_shards(
-            worker,
-            [tuple(chunk) for chunk in executor.chunk(items)],
-            always_fan_out=True,
-        )
-        return [score for shard in shard_results for score in shard]
-
-    #: Process-wide counter behind each integrator's warm-context key.
-    #: Never id(self): a freed integrator's address can be reused by a new
-    #: one while the long-lived pool still holds the old context under that
-    #: key — the new integrator's version-1 sync would be silently skipped
-    #: and workers would score against the previous stream's profile table.
-    _context_counter = count(1)
+        return [
+            self._matcher.score(
+                name, profile, attributes[index].name, attributes[index].profile
+            )
+            for name, profile, index in items
+        ]
 
     # -- delta application -------------------------------------------------
 
@@ -671,25 +602,6 @@ class DeltaIntegrator(DeltaOperator):
         and keeping it is what makes rebuilds land on the same decisions)."""
         self._reset_state()
         self.bootstrap(documents)
-
-    def sync_executor(self, executor) -> bool:
-        """Adopt a replacement executor (profiles re-ship on next fan-out).
-
-        The old executor's pool — if it ever received our context — drops
-        it; the retiring host keeps that executor alive, so the eviction
-        reaches live workers.
-        """
-        if self._executor is not None:
-            self._executor.drop_warm_context(self._warm_context_key)
-        self._executor = executor
-        self._warm_table = None
-        return True
-
-    def close(self) -> None:
-        """Evict this integrator's warm context from the pool workers."""
-        if self._executor is not None:
-            self._executor.drop_warm_context(self._warm_context_key)
-            self._warm_table = None
 
     # -- refresh -----------------------------------------------------------
 
@@ -772,12 +684,3 @@ class DeltaIntegrator(DeltaOperator):
             oracle.integrate_source(source_id, mirror.records())
         return schema_snapshot(schema, oracle.reports)
 
-
-def _same_table(a: tuple, b: tuple) -> bool:
-    """Whether two (name, profile) tables are identical by object identity."""
-    if len(a) != len(b):
-        return False
-    return all(
-        name_a == name_b and profile_a is profile_b
-        for (name_a, profile_a), (name_b, profile_b) in zip(a, b)
-    )

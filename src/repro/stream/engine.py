@@ -192,7 +192,6 @@ class StreamingTamer:
                 self._integrator = DeltaIntegrator(
                     config=schema_config,
                     expert=schema_expert,
-                    executor=executor,
                     source_id=source_id,
                 )
                 self._operators.append(self._integrator)
@@ -282,12 +281,10 @@ class StreamingTamer:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the collection's change hook and release operator
-        state held elsewhere (warm pool contexts); idempotent."""
+        """Detach from the collection's change hook and close the changelog
+        writer; idempotent."""
         if not self._closed:
             self._unsubscribe()
-            for operator in self._operators:
-                operator.close()
             if self._writer is not None:
                 self._writer.close()
             self._closed = True
@@ -346,8 +343,7 @@ class StreamingTamer:
         self._events_since_rebuild = 0
         self._rebuild_count += 1
         self._m_rebuilds.inc()
-        if self._stream_config.compact_on_rebuild:
-            self.compact_changelog()
+        self.compact_changelog()
 
     def compact_changelog(self) -> int:
         """Snapshot + truncate the persisted changelog (recovery stays exact).
@@ -528,7 +524,6 @@ class StreamingTamer:
         if self._engine is None:
             self._engine = QueryEngine(
                 entities,
-                executor=self._executor,
                 watermark=watermark,
                 schema_watermark=schema_watermark,
             )

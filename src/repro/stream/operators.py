@@ -17,11 +17,7 @@ incremental, so any curation step can plug into the same changelog:
   hosts) can reason about staleness per operator rather than per stream;
 * **rebuild fallback** — ``rebuild`` discards all incremental state and
   re-bootstraps (hygiene against cache drift; every operator's incremental
-  path is exactly equivalent, so this is never a correctness valve);
-* **executor hand-off** — ``sync_executor`` lets a host swap the sharded
-  executor an operator fans out through (e.g. after a parallelism change);
-  operators holding warm worker-pool state may decline by keeping the
-  executor they were born with.
+  path is exactly equivalent, so this is never a correctness valve).
 
 The host is :class:`~repro.stream.engine.StreamingTamer`: one changelog,
 one scheduler, an ordered chain of operators sharing each drained batch.
@@ -113,22 +109,3 @@ class DeltaOperator:
             watermark=self._watermark,
             details=details,
         )
-
-    def sync_executor(self, executor) -> bool:
-        """Offer the operator a replacement sharded executor.
-
-        Returns ``True`` when the operator adopted it.  The default
-        declines: operators whose fan-out state lives in warm pool workers
-        (interned kernels, shipped records) must keep using the executor
-        that owns those workers.
-        """
-        return False
-
-    def close(self) -> None:
-        """Release state held outside the operator (idempotent).
-
-        The host calls this when the stream detaches.  The default is a
-        no-op; operators that shipped warm state to long-lived pool
-        workers (e.g. the schema integrator's profile table) evict it here
-        so a session's pool does not accumulate dead owners' contexts.
-        """

@@ -107,10 +107,6 @@ class TestExpertConfig:
         with pytest.raises(ConfigError):
             ExpertConfig(min_answers_per_task=0).validate()
 
-    def test_accuracy_bounds(self):
-        with pytest.raises(ConfigError):
-            ExpertConfig(default_expert_accuracy=1.5).validate()
-
 
 class TestObsConfig:
     def test_defaults_validate(self):

@@ -49,7 +49,6 @@ def test_not_fitted_error_message_mentions_fit():
 
 def test_storage_errors_are_catchable_as_storage_error():
     assert issubclass(errors.CollectionNotFound, errors.StorageError)
-    assert issubclass(errors.TableError, errors.StorageError)
     assert issubclass(errors.IndexError_, errors.StorageError)
 
 

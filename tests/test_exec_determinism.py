@@ -112,7 +112,7 @@ def _build_sharded_pipeline(model, records, executor):
         "query",
         lambda ctx: [
             e.entity_id
-            for e in QueryEngine(ctx["consolidate"], executor=executor).search("show")
+            for e in QueryEngine(ctx["consolidate"]).search("show")
         ],
     )
     return pipeline

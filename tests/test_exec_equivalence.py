@@ -4,7 +4,7 @@ Every parallel code path in the system is designed to be *bit-identical* to
 its sequential counterpart: deterministic shard routing, order-preserving
 fan-out, and stable merges.  These tests enforce that property over seeded
 random corpora for 1, 2 and 8 workers — blocking, pairwise scoring,
-consolidation and keyword search all produce exactly the sequential result.
+and consolidation all produce exactly the sequential result.
 """
 
 import random
@@ -22,7 +22,6 @@ from repro.entity.consolidation import EntityConsolidator
 from repro.entity.dedup import DedupModel
 from repro.entity.record import Record
 from repro.exec import BatchScorer, ShardedExecutor
-from repro.query.engine import QueryEngine
 from repro.workloads import DedupCorpusGenerator
 
 WORKER_COUNTS = (1, 2, 8)
@@ -420,21 +419,3 @@ class TestFacadeEquivalence:
         assert tamer.batch_size == 64
         assert tamer.executor.fans_out
         tamer.close()
-
-
-class TestQueryEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_search_results_identical(self, corpus, model, workers):
-        entities = EntityConsolidator(model=model).consolidate(corpus.records)
-        sequential = QueryEngine(entities)
-        parallel = QueryEngine(entities, executor=executor_for(workers))
-        # phrases drawn from the data (some hits) plus a guaranteed miss
-        names = [str(e.attributes.get("name", "")) for e in entities[:5]]
-        phrases = [n.split()[0] for n in names if n] + ["zzz no match"]
-        for phrase in phrases:
-            seq_result = sequential.search(phrase)
-            par_result = parallel.search(phrase)
-            assert [e.entity_id for e in par_result] == [
-                e.entity_id for e in seq_result
-            ]
-            assert par_result.as_dicts() == seq_result.as_dicts()

@@ -14,10 +14,13 @@ The pool's contract has two halves:
 Both halves are enforced here over seeded corpora.
 """
 
+import gc
+import multiprocessing
 import os
 import signal
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -216,6 +219,31 @@ class TestIdleShutdown:
             assert pool.start_count == 2
         finally:
             executor.close()
+
+    def test_pending_idle_timer_does_not_keep_a_dropped_pool_alive(self):
+        """An unreferenced executor's workers stop at garbage collection,
+        not when its (here 300 s) idle timer would have fired."""
+        executor = pooled_executor(workers=2, idle_timeout=300.0)
+        executor.map_shards(len, [[1, 2], [3, 4]], always_fan_out=True)
+        pool_ref = weakref.ref(executor.pool)
+        pids = set(executor.pool.worker_pids())
+        assert len(pids) == 2
+        del executor
+        gc.collect()
+        try:
+            deadline = time.monotonic() + 5.0
+            alive = pids
+            while alive and time.monotonic() < deadline:
+                # active_children() also reaps the workers that have exited
+                alive = pids & {p.pid for p in multiprocessing.active_children()}
+                if alive:
+                    time.sleep(0.05)
+            assert not alive, "a pending idle timer kept the pool alive"
+            assert pool_ref() is None
+        finally:
+            leaked = pool_ref()
+            if leaked is not None:
+                leaked.close()
 
     def test_zero_timeout_disables_idle_shutdown(self):
         with PersistentWorkerPool(workers=1, idle_timeout=0.0) as pool:
@@ -536,46 +564,6 @@ class TestWarmContexts:
             assert pooled.sync_warm_context("k", 1, "v")
         finally:
             pooled.close()
-
-    def test_drop_context_evicts_everywhere(self):
-        with PersistentWorkerPool(workers=2) as pool:
-            pool.sync_context("doomed", 1, "X")
-            pool.sync_context("kept", 1, "Y")
-            assert pool.drop_context("doomed")
-            assert not pool.drop_context("doomed")  # already gone
-            with pytest.raises(TamerError):
-                pool.run_tasks([(_read_context, "doomed")])
-            results, _ = pool.run_tasks([(_read_context, "kept")])
-            assert results == ["Y"]
-            # respawned workers must not resurrect the dropped key
-            pool.shutdown()
-            with pytest.raises(TamerError):
-                pool.run_tasks([(_read_context, "doomed")])
-
-    def test_stream_close_drops_its_warm_context(self):
-        from repro import DataTamer, StreamConfig, TamerConfig
-
-        config = TamerConfig.small()
-        config.execution = ExecConfig(parallelism=2)
-        config.stream = StreamConfig(schema_integration=True)
-        tamer = DataTamer(config.validate())
-        corpus = DedupCorpusGenerator(seed=13).generate(
-            n_entities=40, variants_per_entity=2
-        )
-        tamer.train_dedup_model(corpus.pairs)
-        for index, record in enumerate(corpus.records[:24]):
-            tamer.curated_collection.insert(
-                dict(record.as_dict(), _source=("a", "b", "c")[index % 3])
-            )
-        stream = tamer.start_stream()
-        key = stream.integrator._warm_context_key
-        stream.integrator.refresh()  # bootstrap fan-out ships the context
-        pool = tamer.executor.pool
-        shipped = pool is not None and key in pool._warm_contexts
-        tamer.stop_stream()
-        if shipped:
-            assert key not in pool._warm_contexts
-        tamer.close()
 
 
 class TestDispatchDeadline:

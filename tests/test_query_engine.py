@@ -50,10 +50,6 @@ class TestQueryEngine:
     def test_find_equal_ignores_missing_attribute(self, engine):
         assert len(engine.find_equal("text_feed", "")) == 0
 
-    def test_find_where_predicate(self, engine):
-        result = engine.find_where(lambda attrs: "theater" in attrs)
-        assert len(result) == 2
-
     def test_search_requires_all_tokens(self, engine):
         assert len(engine.search("walking dead")) == 1
         assert len(engine.search("walking nonexistent")) == 0
@@ -75,8 +71,10 @@ class TestQueryEngine:
         assert len(result) == 1
 
     def test_project(self, engine):
-        rows = engine.find_where(lambda a: True).project(["show_name"])
-        assert all(set(r) == {"show_name"} for r in rows)
+        rows = engine.find_equal("show_name", "Matilda").project(
+            ["show_name", "genre"]
+        )
+        assert rows == [{"show_name": "Matilda", "genre": None}]
 
     def test_as_dicts(self, engine):
         dicts = engine.find_equal("show_name", "Matilda").as_dicts()
@@ -91,8 +89,8 @@ class TestQueryEngine:
         assert len(engine) == 4
 
     def test_iteration(self, engine):
-        result = engine.find_where(lambda a: True)
-        assert len(list(result)) == 3
+        result = engine.search("walking dead")
+        assert [entity.entity_id for entity in result] == ["e3"]
 
     def test_lookup_show_punctuation_only_returns_empty(self, engine):
         # regression: a name that tokenizes to nothing used to fall through

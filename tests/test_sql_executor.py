@@ -493,11 +493,22 @@ class TestOrderingPrimitives:
         values = ["b", None, 2, "a", 1.5, True]
         values.sort(key=sort_key)
         assert values == [True, 1.5, 2, "a", "b", None]
+        # descending puts None first
+        assert sorted(values, key=sort_key, reverse=True) == [
+            None, "b", "a", 2, 1.5, True,
+        ]
+        # 1, True and 1.0 tie: sorts keep their input order, both ways
+        for ties in ([1, True, 1.0], [1.0, 1, True], [True, 1.0, 1]):
+            for reverse in (False, True):
+                ordered = sorted(ties, key=sort_key, reverse=reverse)
+                assert [type(v) for v in ordered] == [type(v) for v in ties]
 
     def test_group_key_handles_unhashables(self):
         assert group_key([1, 2]) == group_key([1, 2])
         assert group_key([1, 2]) != group_key([2, 1])
         assert group_key(1) == 1
+        # 1, "1" and [1] stay three distinct groups
+        assert len({group_key(v) for v in (1, "1", [1], 1, "1", [1])}) == 3
 
 
 class TestNanPlacement:

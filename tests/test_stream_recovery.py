@@ -289,22 +289,6 @@ def test_rebuild_compacts_changelog_and_recovery_stays_exact(tmp_path):
     assert _canonical(_state(stream2)) == expected
 
 
-def test_compact_on_rebuild_can_be_disabled(tmp_path):
-    path = tmp_path / "cdc.jsonl"
-    tamer = _build_tamer(
-        changelog_path=path, rebuild_threshold=10, compact_on_rebuild=False
-    )
-    rng = random.Random(3)
-    stream = tamer.start_stream()
-    _drive_writes(tamer, rng, steps=30)
-    stream.refresh()
-    assert stream.rebuild_count >= 1
-    assert stream.compaction_count == 0
-    entries = read_changelog(path)
-    live = [doc["_id"] for doc in tamer.curated_collection.scan()]
-    assert len(entries) > len(live)  # full history retained
-
-
 def test_explicit_compaction_is_crash_atomic(document_store, tmp_path):
     """``rewrite_snapshot`` swaps via a temp file + rename; afterwards the
     log replays to the same collection and keeps accepting appends."""
