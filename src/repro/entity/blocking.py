@@ -13,22 +13,15 @@ provided (all used in the blocking ablation benchmark):
   within a sliding window.
 
 Every blocker returns a :class:`BlockingResult` with the candidate pairs plus
-the reduction-ratio bookkeeping the benchmarks report.
-
-Each blocker's ``block`` method accepts an optional
-:class:`~repro.exec.executor.ShardedExecutor`; when given, the expensive
-per-record key extraction (tokenization, n-gramming, sort-key normalization)
-fans out over deterministic record shards, while block assembly and pair
-emission — which depend on global order — stay centralized.  Records carry
-their original input index through the fan-out, so the merged result is
-bit-identical to the sequential one.
+the reduction-ratio bookkeeping the benchmarks report.  Blocking always runs
+in the caller, on every executor: only pair scoring is worth shipping to the
+process pool.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -37,80 +30,6 @@ from ..text.tokenizer import ngrams, tokenize
 from .record import Record
 
 Pair = Tuple[str, str]
-
-
-def _shard_record_keys(blocker, part):
-    """Key extraction over ``(index, record)`` items for block-based blockers."""
-    return [
-        (index, record.record_id, list(blocker.keys_for(record)))
-        for index, record in part
-    ]
-
-
-def _shard_sort_keys(blocker, part):
-    """Sort-key extraction over ``(index, record)`` items (sorted-neighborhood)."""
-    return [(index, blocker._sort_key(record)) for index, record in part]
-
-
-#: Versioned warm-context key carrying the ordered record-id scope of one
-#: blocking run to the persistent pool workers.
-_BLOCK_SCOPE_CONTEXT = "blocking:scope"
-
-
-def _fan_out_warm(executor, blocker, kind, records):
-    """Warm-pool key extraction: fan-outs ship shard ids, not records.
-
-    The persistent workers already mirror the record corpus through the
-    warm-state delta protocol, so instead of pickling ``(index, record)``
-    partitions into every dispatch, this path syncs the record *deltas*
-    once, broadcasts the ordered id scope as a versioned context, and sends
-    each worker nothing but its shard index.  Workers re-derive their
-    partition with the same ``ShardRouter`` hash
-    :meth:`~repro.exec.executor.ShardedExecutor.partition` uses, so the
-    merged result is exactly what inline extraction produces.
-
-    Returns ``None`` when the scope contains duplicate record ids — the
-    workers' record store is keyed by id, so aliased records are keyed
-    inline instead.
-    """
-    from ..exec.pool import warm_block_keys
-    from ..storage.sharding import _stable_hash
-
-    ids = tuple(record.record_id for record in records)
-    by_id = {record.record_id: record for record in records}
-    if len(by_id) != len(ids):
-        return None
-    pool = executor.ensure_pool()
-    pool.sync_records(by_id)
-    executor.sync_warm_context(_BLOCK_SCOPE_CONTEXT, _stable_hash(ids), ids)
-    num_shards = max(1, executor.parallelism)
-    worker = partial(
-        warm_block_keys, blocker, kind, _BLOCK_SCOPE_CONTEXT, num_shards
-    )
-    shard_results = executor.map_shards(
-        worker, list(range(num_shards)), always_fan_out=True
-    )
-    merged = [entry for result in shard_results for entry in result]
-    merged.sort(key=lambda entry: entry[0])
-    return merged
-
-
-def _fan_out_indexed(executor, blocker, kind, records):
-    """Fan key extraction out over shards, in original input order.
-
-    ``kind`` is ``"keys"`` (blocking keys per record) or ``"sort"``
-    (sorted-neighborhood sort keys).  Key extraction runs on the warm pool
-    (:func:`_fan_out_warm`); a scope of one record, or one with duplicate
-    ids, is keyed inline.  Returns the per-record results in original
-    input order, so downstream block assembly sees exactly the sequential
-    iteration order.
-    """
-    if len(records) > 1:
-        merged = _fan_out_warm(executor, blocker, kind, records)
-        if merged is not None:
-            return merged
-    extract = _shard_record_keys if kind == "keys" else _shard_sort_keys
-    return extract(blocker, list(enumerate(records)))
 
 
 def _ordered(a: str, b: str) -> Pair:
@@ -213,34 +132,19 @@ class _BaseBlocker:
         """Return the blocking keys for one record (subclasses implement)."""
         raise NotImplementedError
 
-    def block(
-        self, records: Sequence[Record], executor=None, pair_filter=None
-    ) -> BlockingResult:
+    def block(self, records: Sequence[Record], pair_filter=None) -> BlockingResult:
         """Group records by key and emit all within-block pairs.
 
         Blocks larger than ``max_block_size`` are dropped: giant blocks come
         from uninformative keys (stop-word tokens, common n-grams) and would
         reintroduce the quadratic blow-up blocking exists to avoid.
-
-        With a parallel ``executor``, key extraction fans out over record
-        shards; the keyed records are merged back into input order before
-        blocks are assembled, so the result matches the sequential path
-        exactly.  ``pair_filter`` (a ``pairs -> (survivors, pruned_count)``
-        callable) prunes emitted pairs centrally, after block assembly.
+        ``pair_filter`` (a ``pairs -> (survivors, pruned_count)`` callable)
+        prunes emitted pairs after block assembly.
         """
-        if executor is not None and executor.fans_out:
-            keyed = _fan_out_indexed(executor, self, "keys", records)
-        else:
-            # stream one record at a time: no point holding every key list
-            # in memory on the sequential path
-            keyed = (
-                (index, record.record_id, self.keys_for(record))
-                for index, record in enumerate(records)
-            )
         blocks: Dict[str, List[str]] = defaultdict(list)
-        for _, record_id, keys in keyed:
-            for key in set(keys):
-                blocks[key].append(record_id)
+        for record in records:
+            for key in set(self.keys_for(record)):
+                blocks[key].append(record.record_id)
         result = BlockingResult(total_records=len(records))
         kept_blocks: Dict[str, List[str]] = {}
         for key, members in blocks.items():
@@ -257,13 +161,12 @@ class _BaseBlocker:
 class TokenBlocker(_BaseBlocker):
     """Block on the tokens of a key attribute (or of the whole record).
 
-    ``token_source`` (set transiently by the consolidator / streaming
-    curator on sequential paths) lets whole-record blocking reuse the
-    scoring kernel's interned per-record tokenization instead of running
-    the tokenizer a second time.  It is deliberately *not* honoured when a
-    ``key_attribute`` restricts the blocking key — the kernel interns the
-    full comparison blob, not single attributes — and it must not be set
-    when the blocker is pickled into process workers.
+    ``token_source`` (set by the consolidator and the streaming curator)
+    lets whole-record blocking reuse the scoring kernel's interned
+    per-record tokenization instead of running the tokenizer a second
+    time.  It is deliberately *not* honoured when a ``key_attribute``
+    restricts the blocking key — the kernel interns the full comparison
+    blob, not single attributes.
     """
 
     def __init__(
@@ -290,14 +193,6 @@ class TokenBlocker(_BaseBlocker):
         return [
             token for token in tokens if len(token) >= self.min_token_length
         ]
-
-    def __getstate__(self):
-        # never ship the kernel-backed token source to process workers: it
-        # drags the whole interned corpus through pickle, and workers
-        # re-tokenize identically anyway
-        state = dict(self.__dict__)
-        state["token_source"] = None
-        return state
 
 
 class NGramBlocker(_BaseBlocker):
@@ -339,23 +234,13 @@ class SortedNeighborhoodBlocker:
             return record.normalized(self.key_attribute)
         return record.text_blob()
 
-    def block(
-        self, records: Sequence[Record], executor=None, pair_filter=None
-    ) -> BlockingResult:
+    def block(self, records: Sequence[Record], pair_filter=None) -> BlockingResult:
         """Sort records and emit pairs within the sliding window.
 
-        With a parallel ``executor``, sort keys are computed per shard; the
-        final sort happens centrally on ``(key, input index)``, which is
-        exactly the stable ordering of the sequential path.  ``pair_filter``
-        prunes emitted pairs centrally, exactly as in
+        ``pair_filter`` prunes emitted pairs exactly as in
         :meth:`_BaseBlocker.block`.
         """
-        if executor is not None and executor.fans_out:
-            keyed = _fan_out_indexed(executor, self, "sort", records)
-            order = sorted(keyed, key=lambda entry: (entry[1], entry[0]))
-            ordered = [records[index] for index, _ in order]
-        else:
-            ordered = sorted(records, key=self._sort_key)
+        ordered = sorted(records, key=self._sort_key)
         result = BlockingResult(total_records=len(records))
         for i in range(len(ordered)):
             for j in range(i + 1, min(i + self.window, len(ordered))):
@@ -393,13 +278,12 @@ class BlockIndex:
         """
         return isinstance(blocker, _BaseBlocker)
 
-    def __init__(self, blocker: _BaseBlocker, executor=None):
+    def __init__(self, blocker: _BaseBlocker):
         if not isinstance(blocker, _BaseBlocker):
             raise EntityResolutionError(
                 "BlockIndex requires a block-based blocker (token or ngram)"
             )
         self._blocker = blocker
-        self._executor = executor
         self._keys_of: Dict[str, Tuple[str, ...]] = {}
         self._members: Dict[str, Set[str]] = {}
         self._support: Dict[Pair, int] = {}
@@ -421,14 +305,7 @@ class BlockIndex:
         return len(self._members)
 
     def _extract_keys(self, records: Sequence[Record]) -> List[Tuple[str, ...]]:
-        """Blocking keys per record, fanned out over shards when parallel."""
-        if (
-            self._executor is not None
-            and self._executor.fans_out
-            and len(records) > 1
-        ):
-            keyed = _fan_out_indexed(self._executor, self._blocker, "keys", records)
-            return [tuple(sorted(set(keys))) for _, _, keys in keyed]
+        """Distinct blocking keys per record, sorted."""
         return [
             tuple(sorted(set(self._blocker.keys_for(record))))
             for record in records

@@ -5,13 +5,12 @@ scoring with a trained :class:`~repro.entity.dedup.DedupModel` → union-find
 clustering → merging each cluster into one composite entity record under a
 configurable merge policy.
 
-When a :class:`~repro.exec.executor.ShardedExecutor` is supplied, the three
-expensive phases fan out: blocking-key extraction over record shards,
-pairwise scoring over bounded chunks (through
-:class:`~repro.exec.batch.BatchScorer`, which also caches tokenization), and
-cluster merging over cluster chunks.  Union-find clustering stays sequential
-— it is cheap and order-sensitive.  All parallel paths are bit-identical to
-the sequential ones.
+When a parallel :class:`~repro.exec.executor.ShardedExecutor` is supplied,
+only pairwise scoring fans out, over bounded chunks on the warm process pool
+(through :class:`~repro.exec.batch.BatchScorer`).  Blocking and merging run
+in the caller on every executor, because each costs less inline than the
+IPC to ship it; union-find clustering is cheap and order-sensitive.  The
+parallel path is bit-identical to the sequential one.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import EntityConfig
 from ..errors import EntityResolutionError
-from ..exec.executor import ShardedExecutor, ShardPayload
+from ..exec.executor import ShardedExecutor
 from ..obs import TelemetryHub, default_hub
 from .blocking import (
     BlockingResult,
@@ -157,53 +155,21 @@ def _merge_one_cluster(
     )
 
 
-def _merge_cluster_chunk(merge_policy, payload):
-    """Merge one chunk of (index, cluster) items (module-level: picklable).
-
-    The payload's context is a record lookup restricted to what this chunk
-    needs, so each pickled payload stays bounded.
-    """
-    by_id, chunk = payload.context, payload.items
-    return [
-        _merge_one_cluster(merge_policy, index, cluster, by_id)
-        for index, cluster in chunk
-    ]
-
-
 def merge_clusters(
     ordered_clusters: List[Tuple[int, Set[str]]],
     by_id: Dict[str, Record],
     merge_policy: MergePolicy,
-    executor: Optional[ShardedExecutor] = None,
 ) -> List[ConsolidatedEntity]:
-    """Merge ``(index, cluster)`` items into entities, fanning out if parallel.
+    """Merge ``(index, cluster)`` items into entities, in item order.
 
     This is the merge phase of :meth:`EntityConsolidator.consolidate`,
     exposed at module level so the streaming delta curator can re-merge
-    individual clusters with exactly the batch semantics.  Each cluster
-    merge is independent; chunk results are concatenated in chunk order, so
-    the entity list matches the sequential one exactly.
+    individual clusters with exactly the batch semantics.
     """
-    if executor is None or not executor.fans_out:
-        return [
-            _merge_one_cluster(merge_policy, index, cluster, by_id)
-            for index, cluster in ordered_clusters
-        ]
-    # bound each pickled payload to the records its clusters touch
-    payloads = [
-        ShardPayload(
-            context={
-                record_id: by_id[record_id]
-                for _, cluster in chunk
-                for record_id in cluster
-            },
-            items=tuple(chunk),
-        )
-        for chunk in executor.chunk(ordered_clusters)
+    return [
+        _merge_one_cluster(merge_policy, index, cluster, by_id)
+        for index, cluster in ordered_clusters
     ]
-    worker = partial(_merge_cluster_chunk, merge_policy)
-    chunk_results = executor.map_shards(worker, payloads)
-    return [entity for chunk in chunk_results for entity in chunk]
 
 
 class EntityConsolidator:
@@ -258,7 +224,7 @@ class EntityConsolidator:
         ``pair_filter`` prunes emitted pairs that provably cannot match (see
         :class:`~repro.entity.kernel.CandidateFilter`); ``kernel`` lets the
         whole-record token blocker reuse the scoring kernel's interned
-        tokenization on sequential runs.
+        tokenization.
         """
         blocker = make_blocker(
             self._config.blocking_strategy,
@@ -269,10 +235,8 @@ class EntityConsolidator:
             result = BlockingResult(total_records=len(records))
             result.pairs = full_pairs(records)
             return apply_pair_filter(result, pair_filter)
-        fans_out = self._executor is not None and self._executor.fans_out
         share_tokens = (
             kernel is not None
-            and not fans_out
             and isinstance(blocker, TokenBlocker)
             and blocker.key_attribute is None
             and kernel.compare_attributes is None
@@ -280,9 +244,7 @@ class EntityConsolidator:
         if share_tokens:
             blocker.token_source = kernel.unique_tokens_for
         try:
-            return blocker.block(
-                records, executor=self._executor, pair_filter=pair_filter
-            )
+            return blocker.block(records, pair_filter=pair_filter)
         finally:
             if share_tokens:
                 blocker.token_source = None
@@ -339,7 +301,7 @@ class EntityConsolidator:
         )
         stages["cluster"] = clock() - mark
         mark = clock()
-        entities = self._merge_clusters(ordered_clusters, by_id)
+        entities = merge_clusters(ordered_clusters, by_id, self._merge_policy)
         stages["merge"] = clock() - mark
         for stage, seconds in stages.items():
             self._m_stage_time.labels(stage=stage).observe(seconds)
@@ -399,19 +361,3 @@ class EntityConsolidator:
         stages["featurize"] = mark - begin
         stages["classify"] = clock() - mark
         return scores, matched
-
-    # -- merging -----------------------------------------------------------
-
-    def _merge_clusters(
-        self,
-        ordered_clusters: List[Tuple[int, Set[str]]],
-        by_id: Dict[str, Record],
-    ) -> List[ConsolidatedEntity]:
-        """Merge clusters into entities, fanning out over chunks if parallel.
-
-        Delegates to the module-level :func:`merge_clusters`, which the
-        streaming delta curator shares.
-        """
-        return merge_clusters(
-            ordered_clusters, by_id, self._merge_policy, executor=self._executor
-        )

@@ -12,7 +12,7 @@ scores candidate pairs on that executor and caches normalized tokenization
 so repeated attribute values are tokenized once, not once per pair.
 """
 
-from .executor import ShardedExecutor, ShardPayload, ShardTiming
+from .executor import ShardedExecutor, ShardTiming
 from .batch import BatchScorer, cached_tokenize, clear_token_cache, token_cache_info
 from .pool import PersistentWorkerPool, PoolTaskTiming
 
@@ -21,7 +21,6 @@ __all__ = [
     "PersistentWorkerPool",
     "PoolTaskTiming",
     "ShardedExecutor",
-    "ShardPayload",
     "ShardTiming",
     "cached_tokenize",
     "clear_token_cache",

@@ -59,22 +59,6 @@ class ShardTiming:
         return self.seconds + self.queue_seconds
 
 
-@dataclass(frozen=True)
-class ShardPayload:
-    """Shared context plus the items of one shard/chunk.
-
-    Workers that need more than the item list (e.g. a record lookup) receive
-    one of these; ``len()`` reports the item count so
-    :class:`ShardTiming.items` stays meaningful.
-    """
-
-    context: Any
-    items: tuple
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 def _item_count(part: Any) -> int:
     """Items in one partition (1 for a partition without a length)."""
     return len(part) if hasattr(part, "__len__") else 1
@@ -173,22 +157,6 @@ class ShardedExecutor:
                 fault_plan=resolve_plan(self._config.fault_plan),
             )
         return self._pool
-
-    def sync_warm_context(self, key: str, version: int, value) -> bool:
-        """Ship a named shared context to the persistent pool workers.
-
-        The warm path for fan-outs whose workers need shared state that is
-        not per-record (e.g. blocking's scope id set): the value is
-        broadcast once per ``version`` through
-        :meth:`~repro.exec.pool.PersistentWorkerPool.sync_context` and
-        workers read it back with :func:`~repro.exec.pool.warm_context`.
-        Returns ``False`` (a no-op) for a ``parallelism == 1`` executor,
-        whose inline fan-outs share the caller's memory anyway.
-        """
-        if not self.fans_out:
-            return False
-        self.ensure_pool().sync_context(key, version, value)
-        return True
 
     def request_pool(self, max_workers: Optional[int] = None) -> ThreadPoolExecutor:
         """The long-lived thread pool request serving hands evaluation to.

@@ -25,6 +25,11 @@ both:
   re-dispatched — results are unchanged because every task is a pure
   function of its inputs.
 
+Pair scoring (:func:`warm_featurize` / :func:`warm_score`, dispatched by
+:class:`~repro.exec.batch.BatchScorer`) is the only product work the pool
+runs; blocking, cluster merging and changelog coalescing stay in the caller
+because shipping them costs more than running them.
+
 Determinism: tasks are dispatched round-robin by task index, and results
 are always merged by task index — never by completion order — so the
 stable-ordered-merge guarantee of :class:`~repro.exec.executor
@@ -78,10 +83,6 @@ class _WarmState:
     def __init__(self) -> None:
         self.records: Dict[str, Any] = {}
         self.kernels: Dict[Optional[Tuple[str, ...]], Any] = {}
-        #: named broadcast contexts: key -> (version, value).  The generic
-        #: warm channel for non-record state (e.g. blocking's scope id set)
-        #: shipped once per version instead of per chunk payload.
-        self.contexts: Dict[str, Tuple[int, Any]] = {}
         self.syncs_applied = 0
 
     def kernel_for(self, restriction: Optional[Tuple[str, ...]]):
@@ -177,70 +178,6 @@ def warm_score(
     return probabilities, probabilities >= threshold
 
 
-def warm_block_keys(
-    blocker: Any,
-    kind: str,
-    scope_key: str,
-    num_shards: int,
-    shard_index: int,
-):
-    """Extract blocking keys for one shard from the worker's mirrored records.
-
-    The fan-out payload is just ``shard_index``: the records were shipped
-    by the warm-state protocol and the scope (the ordered record ids of
-    this blocking run) by a versioned context broadcast.  Membership is
-    derived here with the same :class:`~repro.storage.sharding.ShardRouter`
-    hash the parent's ``ShardedExecutor.partition`` uses, preserving scope
-    order, so the shard's work list is exactly the partition the parent
-    would otherwise have pickled and shipped.
-
-    ``kind`` selects the extraction: ``"keys"`` returns ``(index,
-    record_id, [blocking keys])`` entries, ``"sort"`` returns ``(index,
-    sort_key)`` entries for sorted-neighborhood ordering.
-    """
-    from ..entity.blocking import _shard_record_keys, _shard_sort_keys
-    from ..storage.sharding import ShardRouter
-
-    state = _WORKER_STATE
-    if state is None:
-        raise TamerError(
-            "warm_block_keys must run inside a persistent pool worker"
-        )
-    scope_ids = warm_context(scope_key)
-    router = ShardRouter(num_shards)
-    part = []
-    for index, record_id in enumerate(scope_ids):
-        if router.shard_for(record_id) != shard_index:
-            continue
-        record = state.records.get(record_id)
-        if record is None:
-            raise TamerError(
-                f"warm worker is missing record {record_id!r}; "
-                "state sync is incomplete"
-            )
-        part.append((index, record))
-    extract = _shard_record_keys if kind == "keys" else _shard_sort_keys
-    return extract(blocker, part)
-
-
-def warm_context(key: str):
-    """The calling worker's copy of a named broadcast context.
-
-    Raises (loudly, never silently diverging) when the context was never
-    synced — a task that depends on a context must be dispatched only after
-    :meth:`PersistentWorkerPool.sync_context` shipped it.
-    """
-    state = _WORKER_STATE
-    if state is None:
-        raise TamerError("warm_context must run inside a persistent pool worker")
-    entry = state.contexts.get(key)
-    if entry is None:
-        raise TamerError(
-            f"warm worker is missing context {key!r}; state sync is incomplete"
-        )
-    return entry[1]
-
-
 def warm_state_snapshot(_: Any = None) -> Dict[str, Any]:
     """Introspect the calling worker's warm state (for tests/diagnostics)."""
     state = _WORKER_STATE
@@ -297,10 +234,6 @@ def _worker_main(
         if kind == "sync":
             _, upserts, deletes = message
             _WORKER_STATE.apply(upserts, deletes)
-            continue
-        if kind == "context":
-            _, key, version, value = message
-            _WORKER_STATE.contexts[key] = (version, value)
             continue
         # ("call", index, func, arg, attempt)
         _, index, func, arg, attempt = message
@@ -409,10 +342,7 @@ class PersistentWorkerPool:
             "Workers killed and respawned after missing the dispatch deadline",
         )
         self._m_syncs = registry.counter(
-            "pool_syncs_total", "Warm-state delta/context broadcasts"
-        )
-        self._m_context_ships = registry.counter(
-            "pool_context_ships_total", "Named warm contexts shipped"
+            "pool_syncs_total", "Warm-state delta broadcasts"
         )
         self._m_tasks = registry.counter(
             "pool_tasks_total", "Tasks completed by the pool"
@@ -437,7 +367,6 @@ class PersistentWorkerPool:
         self._worker_box: List[_Worker] = []
         self._workers: Optional[List[_Worker]] = None
         self._warm_records: Dict[str, Any] = {}
-        self._warm_contexts: Dict[str, Tuple[int, Any]] = {}
         self._idle_timer: Optional[threading.Timer] = None
         self._last_used = time.monotonic()
         self._closed = False
@@ -507,8 +436,8 @@ class PersistentWorkerPool:
         """Total record payloads broadcast by the warm-state delta protocol.
 
         Fan-out equivalence tests assert this stays flat across warm reruns:
-        once the workers mirror the corpus, dispatches ship shard ids and
-        pair ids only, never records.
+        once the workers mirror the corpus, dispatches ship pair ids only,
+        never records.
         """
         return self._records_shipped
 
@@ -568,8 +497,6 @@ class PersistentWorkerPool:
             worker.connection.send(
                 ("sync", list(self._warm_records.values()), [])
             )
-        for key, (version, value) in self._warm_contexts.items():
-            worker.connection.send(("context", key, version, value))
         return worker
 
     def _ensure_started(self) -> List[_Worker]:
@@ -627,7 +554,6 @@ class PersistentWorkerPool:
             self._cancel_idle_timer()
             self._stop_workers()
             self._warm_records.clear()
-            self._warm_contexts.clear()
             self._closed = True
 
     def __enter__(self) -> "PersistentWorkerPool":
@@ -730,43 +656,6 @@ class PersistentWorkerPool:
             self._m_sync_time.observe(self._last_sync_seconds)
             self._m_warm_records.set(len(self._warm_records))
             return self._last_sync_seconds
-
-    def sync_context(self, key: str, version: int, value: Any) -> bool:
-        """Broadcast a named context to every worker, once per version.
-
-        The generic warm channel for non-record shared state (blocking
-        ships its scope id set through this): a context already at
-        ``version`` is not re-sent, a freshly spawned or respawned worker
-        receives every context before any task (the pipe is FIFO), and a
-        worker that died since the last batch is respawned with the
-        post-sync state.  Returns whether anything was shipped.
-        """
-        with self._lock:
-            self._ensure_started()
-            self._reap_crashed({}, None)
-            known = self._warm_contexts.get(key)
-            if known is not None and known[0] == version:
-                self._touch()
-                return False
-            self._warm_contexts[key] = (version, value)
-            for slot in range(len(self._workers)):
-                try:
-                    self._workers[slot].connection.send(
-                        ("context", key, version, value)
-                    )
-                except (BrokenPipeError, OSError):
-                    # died between the reap above and this send: a respawned
-                    # worker receives the full context set on spawn
-                    self._workers[slot].connection.close()
-                    self._workers[slot] = self._spawn_worker(slot)
-                    self._worker_box[:] = self._workers
-                    self._respawn_count += 1
-                    self._m_respawns.inc()
-            self._sync_count += 1
-            self._m_syncs.inc()
-            self._m_context_ships.inc()
-            self._touch()
-            return True
 
     # -- fan-out -----------------------------------------------------------
 

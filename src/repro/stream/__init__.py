@@ -9,8 +9,7 @@ package keeps the curated state fresh as writes stream in:
   sequence number; watermarks mark how far consumers have applied; an
   optional sink mirrors the log to disk for crash recovery.
 * :mod:`repro.stream.scheduler` — :class:`MicroBatchScheduler` drains the
-  changelog into bounded, per-document-coalesced :class:`DeltaBatch`\\ es,
-  fanning coalescing out over the sharded executor.
+  changelog into bounded, per-document-coalesced :class:`DeltaBatch`\\ es.
 * :mod:`repro.stream.operators` — the :class:`DeltaOperator` contract
   every incremental consumer implements: bootstrap-from-batch, coalesced
   delta application with per-operator watermarks, and a rebuild fallback.

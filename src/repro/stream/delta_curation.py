@@ -192,17 +192,15 @@ class DeltaCurator(DeltaOperator):
         self._scorer = BatchScorer(
             self._model, executor=self._executor, kernel=self._kernel
         )
-        fans_out = self._executor is not None and self._executor.fans_out
         if (
             isinstance(self._blocker, TokenBlocker)
             and self._blocker.key_attribute is None
             and self._kernel.compare_attributes is None
-            and not fans_out
         ):
             # share the interned tokenization with blocking-key extraction
             self._blocker.token_source = self._kernel.unique_tokens_for
         self._block_index = (
-            BlockIndex(self._blocker, executor=self._executor)
+            BlockIndex(self._blocker)
             if BlockIndex.supports(self._blocker)
             else None
         )
@@ -361,7 +359,7 @@ class DeltaCurator(DeltaOperator):
         records = list(self._records.values())
         if self._blocker is None:
             return full_pairs(records)
-        return set(self._blocker.block(records, executor=self._executor).pairs)
+        return set(self._blocker.block(records).pairs)
 
     def entities(self) -> List[ConsolidatedEntity]:
         """The current consolidated entities (refreshing if stale)."""
@@ -501,7 +499,6 @@ class DeltaCurator(DeltaOperator):
                 [(position, set(key)) for position, key in zip(inserts, born)],
                 self._records,
                 self._merge_policy,
-                executor=self._executor,
             )
             if born
             else []

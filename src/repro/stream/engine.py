@@ -96,7 +96,6 @@ class StreamingTamer:
         hub: Optional[TelemetryHub] = None,
     ):
         self._collection = collection
-        self._executor = executor
         if hub is None:
             hub = getattr(executor, "hub", None) or default_hub()
         self._hub = hub
@@ -173,7 +172,6 @@ class StreamingTamer:
             self._scheduler = MicroBatchScheduler(
                 self._changelog,
                 config=self._stream_config,
-                executor=executor,
                 clock=clock,
                 faults=self._faults,
             )

@@ -13,11 +13,9 @@ end, an in-place update does not), and the sorted-neighborhood blocker's
 tie-breaking depends on that order.  A coalesced event therefore keeps the
 sequence number of the write that determines the document's final position
 (its last insert, if any), and batches replay coalesced events in that
-order.
-
-Coalescing is embarrassingly parallel per document id, so large drains fan
-out over a :class:`~repro.exec.executor.ShardedExecutor` when one is
-supplied; the merged result is identical to the sequential fold.
+order.  Coalescing runs in the caller on every executor: folding a
+thousand events inline takes a few milliseconds, less than shipping them
+to the process pool and back.
 """
 
 from __future__ import annotations
@@ -29,9 +27,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..config import StreamConfig
 from ..fault import NO_FAULTS
 from .changelog import ChangeEvent, Changelog
-
-#: Fan coalescing out only when a drain is at least this many raw events.
-_PARALLEL_COALESCE_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -82,32 +77,12 @@ def _coalesce_one(events: Sequence[ChangeEvent]) -> ChangeEvent:
     )
 
 
-def _coalesce_shard(
-    part: Sequence[ChangeEvent],
-) -> List[ChangeEvent]:
-    """Coalesce one shard of events (module-level: picklable)."""
-    by_doc: Dict[object, List[ChangeEvent]] = {}
-    for event in part:
-        by_doc.setdefault(event.doc_id, []).append(event)
-    return [_coalesce_one(events) for events in by_doc.values()]
-
-
-def coalesce_events(
-    events: Sequence[ChangeEvent], executor=None
-) -> List[ChangeEvent]:
+def coalesce_events(events: Sequence[ChangeEvent]) -> List[ChangeEvent]:
     """Net events per document id, ordered by position-determining seq."""
-    if not events:
-        return []
-    if (
-        executor is not None
-        and executor.fans_out
-        and len(events) >= _PARALLEL_COALESCE_FLOOR
-    ):
-        partitions = executor.partition(events, key=lambda e: e.doc_id)
-        shard_results = executor.map_shards(_coalesce_shard, partitions)
-        merged = [event for shard in shard_results for event in shard]
-    else:
-        merged = _coalesce_shard(events)
+    by_doc: Dict[object, List[ChangeEvent]] = {}
+    for event in events:
+        by_doc.setdefault(event.doc_id, []).append(event)
+    merged = [_coalesce_one(doc_events) for doc_events in by_doc.values()]
     merged.sort(key=lambda event: event.seq)
     return merged
 
@@ -119,14 +94,12 @@ class MicroBatchScheduler:
         self,
         changelog: Changelog,
         config: Optional[StreamConfig] = None,
-        executor=None,
         clock: Callable[[], float] = time.monotonic,
         faults=None,
     ):
         self._changelog = changelog
         self._config = config or StreamConfig()
         self._config.validate()
-        self._executor = executor
         self._clock = clock
         self._faults = faults if faults is not None else NO_FAULTS
         self._watermark = changelog.watermark
@@ -183,7 +156,7 @@ class MicroBatchScheduler:
         # the batch unconsumed, exercising at-least-once redelivery
         self._faults.fire("scheduler.drain", key=raw[-1].seq)
         return DeltaBatch(
-            events=tuple(coalesce_events(raw, executor=self._executor)),
+            events=tuple(coalesce_events(raw)),
             low_watermark=raw[0].seq,
             high_watermark=raw[-1].seq,
         )

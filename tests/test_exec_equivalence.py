@@ -3,23 +3,22 @@
 Every parallel code path in the system is designed to be *bit-identical* to
 its sequential counterpart: deterministic shard routing, order-preserving
 fan-out, and stable merges.  These tests enforce that property over seeded
-random corpora for 1, 2 and 8 workers — blocking, pairwise scoring,
-and consolidation all produce exactly the sequential result.
+random corpora for 1, 2 and 8 workers — pairwise scoring (the only stage
+that fans out) and whole consolidation produce exactly the sequential
+result.
 """
 
+import math
 import random
 
 import pytest
 
 from repro import DataTamer, TamerConfig
 from repro.config import ExecConfig
-from repro.entity.blocking import (
-    NGramBlocker,
-    SortedNeighborhoodBlocker,
-    TokenBlocker,
-)
+from repro.entity.blocking import TokenBlocker
 from repro.entity.consolidation import EntityConsolidator
 from repro.entity.dedup import DedupModel
+from repro.entity.kernel import CandidateFilter, ScoringKernel
 from repro.entity.record import Record
 from repro.exec import BatchScorer, ShardedExecutor
 from repro.workloads import DedupCorpusGenerator
@@ -90,40 +89,6 @@ def corpus():
 @pytest.fixture(scope="module")
 def model(corpus):
     return DedupModel(seed=0).fit(corpus.pairs)
-
-
-class TestBlockingEquivalence:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_token_blocker(self, workers, seed):
-        records = random_records(seed)
-        blocker = TokenBlocker(max_block_size=40)
-        sequential = blocker.block(records)
-        parallel = blocker.block(records, executor=executor_for(workers))
-        assert parallel.pairs == sequential.pairs
-        assert parallel.blocks == sequential.blocks
-        assert parallel.total_records == sequential.total_records
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_ngram_blocker(self, workers, seed):
-        records = random_records(seed)
-        blocker = NGramBlocker(key_attribute="show_name", n=3, max_block_size=40)
-        sequential = blocker.block(records)
-        parallel = blocker.block(records, executor=executor_for(workers))
-        assert parallel.pairs == sequential.pairs
-        assert parallel.blocks == sequential.blocks
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_sorted_neighborhood_blocker(self, workers, seed):
-        records = random_records(seed)
-        blocker = SortedNeighborhoodBlocker(key_attribute="show_name", window=4)
-        sequential = blocker.block(records)
-        parallel = blocker.block(records, executor=executor_for(workers))
-        assert parallel.pairs == sequential.pairs
-        # the sorted order itself must be reproduced exactly, ties included
-        assert parallel.blocks == sequential.blocks
 
 
 class TestScoringEquivalence:
@@ -219,90 +184,43 @@ class TestConsolidationEquivalence:
     def test_warm_pool_rerun_identical(self, corpus, model):
         """The pool must not change a single bit of the output, warm or not.
 
-        Every fan-out (blocking, warm-state scoring, cluster merging) runs
-        on long-lived workers; the first run ships the records, the rerun
-        finds them warm.  Both must equal the sequential path exactly — the
-        deeper lifecycle suite lives in tests/test_exec_pool.py.
+        Only pair scoring runs on the long-lived workers — blocking, the
+        candidate filter and cluster merging stay in the parent — so every
+        consolidate dispatches exactly one task per scoring chunk, and the
+        workers mirror only the records that appear in a scored pair.  The
+        first run ships those records, the rerun finds them warm.  Both must
+        equal the sequential path exactly — the deeper lifecycle suite lives
+        in tests/test_exec_pool.py.
         """
         records = corpus.records
         sequential = EntityConsolidator(model=model).consolidate(records)
+        # the scored pairs, derived in the parent exactly as consolidate does
+        by_id = {record.record_id: record for record in records}
+        kernel = ScoringKernel(compare_attributes=model.compare_attributes)
+        pair_filter = CandidateFilter.from_model(model).as_pair_filter(
+            kernel, by_id
+        )
+        scored = EntityConsolidator(model=model).candidate_pairs(
+            records, pair_filter=pair_filter, kernel=kernel
+        )
+        scored_records = {record_id for pair in scored.pairs for record_id in pair}
         executor = ShardedExecutor(ExecConfig(parallelism=2, batch_size=64))
         try:
-            parallel = EntityConsolidator(
-                model=model, executor=executor
-            ).consolidate(records)
-            assert parallel == sequential
-            # run again on the same executor: a warm pool must stay identical
-            assert (
-                EntityConsolidator(model=model, executor=executor).consolidate(
-                    records
+            for run in ("cold", "warm"):
+                consolidator = EntityConsolidator(model=model, executor=executor)
+                tasks_before = (
+                    executor.pool.tasks_completed if executor.pool is not None else 0
                 )
-                == sequential
-            )
-        finally:
-            executor.close()
-
-
-class TestWarmShardBlocking:
-    """Blocking-key extraction in warm workers ships shard ids, not records.
-
-    After the first warm sync mirrors the record set into the pool, repeat
-    blocking runs over the same records must ship *zero* record payloads —
-    fan-outs carry only shard indices and the workers derive their partition
-    from mirrored state.  And of course the keys must be bit-identical to
-    the sequential extraction.
-    """
-
-    def _warm_executor(self):
-        return ShardedExecutor(ExecConfig(parallelism=2, batch_size=64))
-
-    @pytest.mark.parametrize(
-        "make_blocker",
-        [
-            lambda: TokenBlocker(max_block_size=40),
-            lambda: NGramBlocker(key_attribute="show_name", n=3, max_block_size=40),
-            lambda: SortedNeighborhoodBlocker(key_attribute="show_name", window=4),
-        ],
-        ids=["token", "ngram", "sorted-neighborhood"],
-    )
-    def test_warm_blocking_identical_and_ships_no_records_when_warm(
-        self, make_blocker
-    ):
-        records = random_records(3)
-        blocker = make_blocker()
-        sequential = blocker.block(records)
-        executor = self._warm_executor()
-        try:
-            first = blocker.block(records, executor=executor)
-            assert first.pairs == sequential.pairs
-            assert first.blocks == sequential.blocks
-
-            pool = executor.ensure_pool()
-            shipped_after_warm = pool.records_shipped
-            tasks_after_warm = pool.tasks_completed
-            second = blocker.block(records, executor=executor)
-            assert second.pairs == sequential.pairs
-            assert second.blocks == sequential.blocks
-            # the rerun fanned out (tasks ran) but shipped no record payloads
-            assert pool.tasks_completed > tasks_after_warm
-            assert pool.records_shipped == shipped_after_warm
-        finally:
-            executor.close()
-
-    def test_warm_scope_shared_across_blockers(self):
-        """A second blocker over the same records reuses the mirrored state."""
-        records = random_records(4)
-        executor = self._warm_executor()
-        try:
-            token = TokenBlocker(max_block_size=40)
-            sorted_b = SortedNeighborhoodBlocker(key_attribute="show_name", window=4)
-            token_parallel = token.block(records, executor=executor)
-            pool = executor.ensure_pool()
-            shipped = pool.records_shipped
-            sorted_parallel = sorted_b.block(records, executor=executor)
-            assert pool.records_shipped == shipped
-            assert token_parallel.pairs == token.block(records).pairs
-            assert sorted_parallel.pairs == sorted_b.block(records).pairs
+                assert consolidator.consolidate(records) == sequential, run
+                report = consolidator.last_report
+                scored_pairs = report.candidate_pairs - report.pruned_pairs
+                assert scored_pairs == len(scored.pairs)
+                # one pool task per 64-pair scoring chunk, and nothing else
+                pool = executor.pool
+                assert pool.tasks_completed - tasks_before == math.ceil(
+                    scored_pairs / 64
+                ), run
+                assert pool.warm_record_count == len(scored_records), run
         finally:
             executor.close()
 

@@ -346,9 +346,10 @@ class TestFacadeLifecycle:
             row["_source"] = record.source_id
             tamer.curated_collection.insert(row)
         tamer.train_dedup_model(corpus.pairs)
+        # start_stream hands the stream the facade's current executor
+        stream_executor = tamer.executor
         tamer.start_stream(key_attribute="name")
         before = tamer.refresh()
-        stream_executor = tamer.stream._executor
 
         tamer.set_parallelism(4, batch_size=64)
         assert tamer.executor is not stream_executor
@@ -507,63 +508,6 @@ class TestStreamingWarmPool:
             assert run(executor) == serial
         finally:
             executor.close()
-
-
-def _read_context(key):
-    from repro.exec.pool import warm_context
-
-    return warm_context(key)
-
-
-class TestWarmContexts:
-    """The generic broadcast channel for non-record warm state."""
-
-    def test_context_ships_once_per_version(self):
-        with PersistentWorkerPool(workers=2) as pool:
-            assert pool.sync_context("table", 1, {"a": 1})
-            assert not pool.sync_context("table", 1, {"a": 1})  # same version
-            results, _ = pool.run_tasks(
-                [(_read_context, "table") for _ in range(2)]
-            )
-            assert results == [{"a": 1}, {"a": 1}]
-            assert pool.sync_context("table", 2, {"a": 2})
-            results, _ = pool.run_tasks([(_read_context, "table")])
-            assert results == [{"a": 2}]
-
-    def test_missing_context_raises_loudly(self):
-        with PersistentWorkerPool(workers=1) as pool:
-            with pytest.raises(TamerError):
-                pool.run_tasks([(_read_context, "never-shipped")])
-
-    def test_restarted_workers_receive_every_context(self):
-        with PersistentWorkerPool(workers=2) as pool:
-            pool.sync_context("alpha", 1, "A")
-            pool.sync_context("beta", 7, "B")
-            pool.shutdown()  # idle-style stop; contexts survive in the parent
-            results, _ = pool.run_tasks(
-                [(_read_context, "alpha"), (_read_context, "beta")]
-            )
-            assert results == ["A", "B"]
-
-    def test_crashed_worker_respawns_with_contexts(self):
-        with PersistentWorkerPool(workers=2) as pool:
-            pool.sync_context("table", 3, "warm")
-            pool.run_tasks([(_square, 2)])
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            time.sleep(0.1)
-            results, _ = pool.run_tasks(
-                [(_read_context, "table") for _ in range(4)]
-            )
-            assert results == ["warm"] * 4
-
-    def test_executor_passthrough_requires_warm_pool(self):
-        serial = ShardedExecutor(ExecConfig(parallelism=1))
-        assert not serial.sync_warm_context("k", 1, "v")
-        pooled = ShardedExecutor(ExecConfig(parallelism=2))
-        try:
-            assert pooled.sync_warm_context("k", 1, "v")
-        finally:
-            pooled.close()
 
 
 class TestDispatchDeadline:
